@@ -1,9 +1,10 @@
 #include "src/core/tsc_clock.h"
 
-#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
-#include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define LMBPP_HAVE_TSC 1
@@ -53,52 +54,106 @@ inline std::uint64_t read_tsc_serialized() {
   return ticks;
 }
 
-// One calibration window: simultaneous-ish TSC and CLOCK_MONOTONIC reads at
-// both ends of a busy-wait of `window_ns` wall nanoseconds.
-double calibrate_window(Nanos window_ns) {
-  const WallClock& wall = WallClock::instance();
-  Nanos wall_start = wall.now();
-  std::uint64_t tsc_start = read_tsc_serialized();
-  Nanos wall_end = wall_start;
-  while (wall_end - wall_start < window_ns) {
-    wall_end = wall.now();
+// A CLOCK_MONOTONIC stamp bracketed by two serialized TSC reads: the TSC
+// value at the instant of the stamp lies in [before, after].
+struct Bracket {
+  Nanos wall = 0;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+
+  std::uint64_t width() const { return after - before; }
+};
+
+// Tightest of 16 back-to-back brackets.  An interrupt or a preemption can
+// only widen a bracket, so the narrowest one pins its stamp best.
+Bracket tightest_bracket(const WallClock& wall) {
+  constexpr int kTries = 16;
+  Bracket best;
+  for (int i = 0; i < kTries; ++i) {
+    Bracket b;
+    b.before = read_tsc_serialized();
+    b.wall = wall.now();
+    b.after = read_tsc_serialized();
+    if (i == 0 || b.width() < best.width()) {
+      best = b;
+    }
   }
-  std::uint64_t tsc_end = read_tsc_serialized();
-  Nanos elapsed = wall_end - wall_start;
-  if (elapsed <= 0 || tsc_end <= tsc_start) {
-    return 0.0;
-  }
-  return static_cast<double>(tsc_end - tsc_start) / static_cast<double>(elapsed);
+  return best;
 }
+
+// TSC ticks between the midpoints of two brackets, computed from small
+// differences: absolute tick counts outgrow double's exact integers.
+double ticks_between(const Bracket& a, const Bracket& b) {
+  return static_cast<double>(static_cast<std::int64_t>(b.before - a.before)) +
+         (static_cast<double>(b.width()) - static_cast<double>(a.width())) / 2.0;
+}
+
+// How far a bracket's midpoint may be from the TSC value at its stamp, in
+// nanoseconds: half the bracket plus CLOCK_MONOTONIC's 1 ns resolution.
+double uncertainty_ns(const Bracket& b, double ticks_per_ns) {
+  return static_cast<double>(b.width()) / 2.0 / ticks_per_ns + 1.0;
+}
+
+// The calibration busy-waits kSegments segments of kSegment each: 1 ms.
+constexpr int kSegments = 4;
+constexpr Nanos kSegment = 250 * kMicrosecond;
+
+// A bracketed pair at the start and after each segment.  The rate comes
+// from the two end pairs, so a preemption during the wait lengthens the
+// span but cannot bias it.  Every intermediate pair must lie on the same
+// line within the brackets' uncertainty; otherwise the TSC and
+// CLOCK_MONOTONIC did not advance in proportion (a TSC jump, a change in
+// the clock's rate) and the calibration is rejected: ticks_per_ns stays 0.
+TscCalibration calibrate() {
+  const WallClock& wall = WallClock::instance();
+  std::array<Bracket, kSegments + 1> pairs;
+  pairs[0] = tightest_bracket(wall);
+  for (int i = 1; i <= kSegments; ++i) {
+    while (wall.now() - pairs[0].wall < i * kSegment) {
+    }
+    pairs[i] = tightest_bracket(wall);
+  }
+
+  const Bracket& first = pairs.front();
+  const Bracket& last = pairs.back();
+  const double span_ns = static_cast<double>(last.wall - first.wall);
+  const double rate = ticks_between(first, last) / span_ns;
+  if (!(rate > 0)) {
+    return {};
+  }
+  const double end_slack_ns = uncertainty_ns(first, rate) + uncertainty_ns(last, rate);
+  for (int i = 1; i < kSegments; ++i) {
+    const Bracket& p = pairs[i];
+    double residual_ns = ticks_between(first, p) / rate - static_cast<double>(p.wall - first.wall);
+    if (std::abs(residual_ns) > end_slack_ns + uncertainty_ns(p, rate)) {
+      return {};
+    }
+  }
+  TscCalibration cal;
+  cal.ticks_per_ns = rate;
+  cal.tsc_mhz = rate * 1e3;
+  cal.error_ppm = end_slack_ns / span_ns * 1e6;
+  return cal;
+}
+
+// Set when the calibration starts, so calibration() can report one that
+// already ran without starting one on an unsupported clock.
+std::atomic<bool> g_calibration_ran{false};
 
 struct TscState {
   TscCalibration cal;
   std::uint64_t epoch_ticks = 0;
 };
 
-// Calibrates once per process: median ticks-per-ns over several short
-// windows.  Median, not mean — one window perturbed by preemption or a
-// frequency ramp of the *reference* clock must not skew the rate.
+// Calibrates once per process, on first use.  A rejected calibration
+// leaves ticks_per_ns at 0, and select_clock() then falls back to wall.
 const TscState& tsc_state() {
   static const TscState state = [] {
+    g_calibration_ran.store(true, std::memory_order_relaxed);
     TscState s;
-    constexpr Nanos kWindow = 5 * kMillisecond;
-    constexpr int kWindows = 5;
-    std::vector<double> rates;
-    rates.reserve(kWindows);
-    for (int i = 0; i < kWindows; ++i) {
-      double rate = calibrate_window(kWindow);
-      if (rate > 0) {
-        rates.push_back(rate);
-      }
-    }
-    if (!rates.empty()) {
-      std::sort(rates.begin(), rates.end());
-      s.cal.ticks_per_ns = rates[rates.size() / 2];
-      s.cal.tsc_mhz = s.cal.ticks_per_ns * 1e3;
-      s.cal.window_ns = kWindow;
-      s.cal.windows = static_cast<int>(rates.size());
-    }
+    s.cal = calibrate();
+    s.cal.windows = kSegments;
+    s.cal.window_ns = kSegment;
     s.epoch_ticks = read_tsc_serialized();
     return s;
   }();
@@ -112,14 +167,12 @@ const TscState& tsc_state() {
 #if defined(LMBPP_HAVE_TSC)
 
 bool TscClock::supported() {
-  static const bool probed = [] {
-    if (!cpu_has_invariant_tsc() || !cpu_has_rdtscp()) {
-      return false;
-    }
-    return tsc_state().cal.ticks_per_ns > 0;
-  }();
   // The env gate is re-read so a test can flip LMBPP_NO_TSC after the probe.
-  return probed && !tsc_env_disabled();
+  if (tsc_env_disabled()) {
+    return false;
+  }
+  static const bool probed = cpu_has_invariant_tsc() && cpu_has_rdtscp();
+  return probed;
 }
 
 Nanos TscClock::now() const {
@@ -150,17 +203,21 @@ const TscClock& TscClock::instance() {
   if (!supported()) {
     throw std::runtime_error("TscClock: no invariant TSC on this host (or LMBPP_NO_TSC set)");
   }
+  if (calibration().ticks_per_ns <= 0) {
+    throw std::runtime_error("TscClock: calibration against CLOCK_MONOTONIC failed");
+  }
   static const TscClock clock;
   return clock;
 }
 
 const TscCalibration& TscClock::calibration() {
 #if defined(LMBPP_HAVE_TSC)
-  return tsc_state().cal;
-#else
-  static const TscCalibration empty;
-  return empty;
+  if (g_calibration_ran.load(std::memory_order_relaxed) || supported()) {
+    return tsc_state().cal;
+  }
 #endif
+  static const TscCalibration none;
+  return none;
 }
 
 double TscClock::cross_check_cpu_mhz(double cpu_mhz) {
@@ -191,7 +248,8 @@ ClockSource parse_clock_source(const std::string& text) {
 
 SelectedClock select_clock(ClockSource requested) {
   SelectedClock selected;
-  if (requested != ClockSource::kWall && TscClock::supported()) {
+  if (requested != ClockSource::kWall && TscClock::supported() &&
+      TscClock::calibration().ticks_per_ns > 0) {
     selected.clock = &TscClock::instance();
     selected.source = "tsc";
     return selected;
@@ -201,8 +259,10 @@ SelectedClock select_clock(ClockSource requested) {
   if (requested == ClockSource::kTsc) {
     selected.fell_back = true;
     selected.fallback_reason =
-        tsc_env_disabled() ? "LMBPP_NO_TSC is set"
-                           : "no invariant TSC on this host (CPUID 0x80000007 EDX.8)";
+        tsc_env_disabled()      ? "LMBPP_NO_TSC is set"
+        : TscClock::supported() ? "TSC calibration failed: it did not advance in step with "
+                                  "CLOCK_MONOTONIC"
+                                : "no invariant TSC on this host (CPUID 0x80000007 EDX.8)";
   }
   return selected;
 }

@@ -15,14 +15,21 @@
 //  * Gated on CPUID invariant-TSC (leaf 0x80000007, EDX bit 8): only an
 //    invariant TSC ticks at a constant rate across P-/C-state transitions,
 //    which is what makes tick->ns conversion meaningful.
-//  * Calibrated against CLOCK_MONOTONIC at first use (median of several
-//    short windows), so ticks convert to wall nanoseconds without trusting
-//    any nominal frequency.  The TSC frequency is NOT the core frequency on
-//    modern x86 — cross_check_cpu_mhz() compares against src/core/mhz's
-//    dependent-add estimate for diagnostics.
+//  * Calibrated against CLOCK_MONOTONIC at first use, so ticks convert to
+//    wall nanoseconds without trusting any nominal frequency.  Each end of
+//    a ~1 ms span is a bracketed pair: a CLOCK_MONOTONIC stamp sandwiched
+//    between two TSC reads, the tightest of 16 tries.  The rate is the
+//    ratio of the spans between the two ends' midpoints; preemption during
+//    the wait lengthens the span but cannot bias it, and the bracket widths
+//    bound the rate error (TscCalibration::error_ppm).  Intermediate pairs
+//    must lie on the same line, or the calibration is rejected.  The TSC
+//    frequency is NOT the core frequency on modern x86 —
+//    cross_check_cpu_mhz() compares against src/core/mhz's dependent-add
+//    estimate for diagnostics.
 //
 // Hosts without the prerequisites (non-x86, no invariant TSC, or the
-// LMBPP_NO_TSC escape hatch) report supported() == false and clock-source
+// LMBPP_NO_TSC escape hatch) report supported() == false without paying
+// for a calibration.  There, or when the calibration fails, clock-source
 // selection falls back to WallClock with an explicit marker — never
 // silently.
 #ifndef LMBENCHPP_SRC_CORE_TSC_CLOCK_H_
@@ -34,12 +41,15 @@
 
 namespace lmb {
 
-// Outcome of the tick->ns calibration, exposed for traces and tests.
+// Outcome of the tick->ns calibration, exposed for traces and tests.  All
+// zero until a calibration has run; ticks_per_ns stays 0 when it failed.
 struct TscCalibration {
   double ticks_per_ns = 0.0;  // TSC frequency in GHz
   double tsc_mhz = 0.0;       // the same, in MHz (trace/report friendly)
-  Nanos window_ns = 0;        // length of one calibration window
-  int windows = 0;            // windows sampled (median taken)
+  Nanos window_ns = 0;        // busy-wait between consecutive bracketed pairs
+  int windows = 0;            // such waits; busy-wait budget = windows * window_ns
+  double error_ppm = 0.0;     // worst-case rate error, parts per million, from
+                              // the end pairs' bracket widths
 };
 
 // Serialized time-stamp-counter clock.  Construct only when supported()
@@ -57,16 +67,21 @@ class TscClock final : public Clock {
 
   std::string name() const override { return "tsc"; }
 
-  // True when this host can use the TSC as a time source: x86-64, CPUID
-  // reports an invariant TSC, RDTSCP is available, and the LMBPP_NO_TSC
-  // environment variable is not set.  Memoized.
+  // True when this host has what the TSC path needs: x86-64, CPUID reports
+  // an invariant TSC, RDTSCP is available, and the LMBPP_NO_TSC environment
+  // variable is not set.  The CPUID probe is memoized; the variable is
+  // re-read on every call.  Never calibrates, so a failed calibration shows
+  // in instance() and calibration(), not here.
   static bool supported();
 
-  // The process-wide instance (calibrated once).  Throws std::runtime_error
-  // when !supported().
+  // The process-wide instance; the first call on a supported host
+  // calibrates.  Throws std::runtime_error when !supported() or the
+  // calibration failed.
   static const TscClock& instance();
 
-  // Calibration facts for the process-wide instance (valid iff supported()).
+  // Calibration facts for the process-wide instance.  The first call on a
+  // supported host calibrates; otherwise reports whatever calibration has
+  // already run (all zero if none did).
   static const TscCalibration& calibration();
 
   // Ratio of the calibrated TSC frequency to `cpu_mhz` (the dependent-add

@@ -221,7 +221,9 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
                                  {"overhead_ns", std::to_string(selected.clock->overhead_ns())},
                                  {"nanoscale", request.nanoscale ? "true" : "false"}};
     if (selected.source == "tsc") {
-      clock_args.push_back({"tsc_mhz", std::to_string(TscClock::calibration().tsc_mhz)});
+      const TscCalibration& cal = TscClock::calibration();
+      clock_args.push_back({"tsc_mhz", std::to_string(cal.tsc_mhz)});
+      clock_args.push_back({"tsc_error_ppm", std::to_string(cal.error_ppm)});
     }
     if (selected.fell_back) {
       clock_args.push_back({"fallback_reason", selected.fallback_reason});

@@ -15,6 +15,38 @@ class NoTscGuard {
   ~NoTscGuard() { ::unsetenv("LMBPP_NO_TSC"); }
 };
 
+// Exits with the number of the first broken expectation: 1 when
+// LMBPP_NO_TSC does not force wall, 2 when it still pays the calibration,
+// 3 when the TSC is not usable once the variable is unset.  Under
+// LMBPP_NO_TSC, calibration() reports a calibration that already ran
+// without starting one, so check 2 sees the eager-probe bug.
+[[noreturn]] void no_tsc_env_check() {
+  ::setenv("LMBPP_NO_TSC", "1", 1);
+  if (select_clock(ClockSource::kAuto).source != "wall") {
+    std::exit(1);
+  }
+  if (TscClock::calibration().windows != 0) {
+    std::exit(2);
+  }
+  ::unsetenv("LMBPP_NO_TSC");
+  if (TscClock::supported() && (select_clock(ClockSource::kAuto).source != "tsc" ||
+                                TscClock::calibration().ticks_per_ns <= 0)) {
+    std::exit(3);
+  }
+  std::exit(0);
+}
+
+// The check needs a process in which nothing has calibrated yet.  The
+// "threadsafe" death-test style re-executes this binary and runs only this
+// test in the child, so the outcome does not depend on which tests ran
+// before, on --gtest_repeat or on --gtest_shuffle.
+TEST(TscClockTest, NoTscEnvSkipsTheCalibration) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(no_tsc_env_check(), ::testing::ExitedWithCode(0), "")
+      << "1: LMBPP_NO_TSC did not force wall; 2: it still paid the calibration; "
+         "3: the TSC did not become usable once unset";
+}
+
 TEST(ClockSourceTest, NamesRoundTrip) {
   EXPECT_STREQ(clock_source_name(ClockSource::kAuto), "auto");
   EXPECT_STREQ(clock_source_name(ClockSource::kTsc), "tsc");
@@ -94,6 +126,41 @@ TEST(TscClockTest, CalibrationLooksSane) {
   EXPECT_NEAR(cal.tsc_mhz, cal.ticks_per_ns * 1000.0, 1e-6);
   EXPECT_GT(cal.windows, 0);
   EXPECT_GT(cal.window_ns, 0);
+  EXPECT_GT(cal.error_ppm, 0.0);
+}
+
+TEST(TscClockTest, CalibrationBusyWaitsAtMostTwoMilliseconds) {
+  if (!TscClock::supported()) {
+    GTEST_SKIP() << "no invariant TSC on this host";
+  }
+  const TscCalibration& cal = TscClock::calibration();
+  EXPECT_LE(cal.windows * cal.window_ns, 2 * kMillisecond)
+      << cal.windows << " x " << cal.window_ns << " ns";
+}
+
+// A wall stamp between two TSC reads, the tightest of 16 tries: preemption
+// between the reads widens a bracket, and the widest are dropped.
+struct BracketedStamp {
+  Nanos wall = 0;
+  Nanos tsc_before = 0;
+  Nanos tsc_after = 0;
+
+  Nanos width() const { return tsc_after - tsc_before; }
+  double tsc_mid() const { return static_cast<double>(tsc_before) + width() / 2.0; }
+};
+
+BracketedStamp bracketed_stamp(const TscClock& tsc, const WallClock& wall) {
+  BracketedStamp best;
+  for (int i = 0; i < 16; ++i) {
+    BracketedStamp s;
+    s.tsc_before = tsc.now();
+    s.wall = wall.now();
+    s.tsc_after = tsc.now();
+    if (i == 0 || s.width() < best.width()) {
+      best = s;
+    }
+  }
+  return best;
 }
 
 TEST(TscClockTest, AgreesWithWallClockOverABusyWindow) {
@@ -103,20 +170,20 @@ TEST(TscClockTest, AgreesWithWallClockOverABusyWindow) {
   const TscClock& tsc = TscClock::instance();
   const WallClock& wall = WallClock::instance();
 
-  Nanos wall_start = wall.now();
-  Nanos tsc_start = tsc.now();
-  while (wall.now() - wall_start < 20 * kMillisecond) {
+  BracketedStamp start = bracketed_stamp(tsc, wall);
+  while (wall.now() - start.wall < 20 * kMillisecond) {
     // busy-wait: sleeping could park the core and is exactly the case the
     // invariant-TSC gate exists to keep honest anyway
   }
-  Nanos wall_elapsed = wall.now() - wall_start;
-  Nanos tsc_elapsed = tsc.now() - tsc_start;
+  BracketedStamp end = bracketed_stamp(tsc, wall);
+  double wall_elapsed = static_cast<double>(end.wall - start.wall);
+  double tsc_elapsed = end.tsc_mid() - start.tsc_mid();
 
-  // The calibration came from CLOCK_MONOTONIC, so the two must agree well;
-  // 10% leaves room for scheduler preemption in a loaded CI container.
-  double ratio = static_cast<double>(tsc_elapsed) / static_cast<double>(wall_elapsed);
-  EXPECT_GT(ratio, 0.9) << "tsc=" << tsc_elapsed << " wall=" << wall_elapsed;
-  EXPECT_LT(ratio, 1.1) << "tsc=" << tsc_elapsed << " wall=" << wall_elapsed;
+  // The calibration's bound is tens of ppm, and each bracket pins its end
+  // to tens of ns of 20 ms; a preemption only lengthens the window.
+  EXPECT_NEAR(tsc_elapsed / wall_elapsed, 1.0, 1e-4)
+      << "tsc=" << tsc_elapsed << " wall=" << wall_elapsed
+      << " calibration bound=" << TscClock::calibration().error_ppm << " ppm";
 }
 
 TEST(TscClockTest, OverheadIsSmallAndNonNegative) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+
 namespace lmb::lat {
 namespace {
 
@@ -26,11 +28,24 @@ TEST(LatProcTest, ForkExitIsMillisecondScaleOrLess) {
 
 TEST(LatProcTest, LadderOrdering) {
   // Table 9's shape: fork < fork+exec < fork+sh (allowing noise margin).
+  // Preemption only inflates a rung, so the ladder is asserted on per-rung
+  // minima over up to three runs: under `ctest -j` one preempted rung
+  // cannot flip the order.
   ProcConfig cfg = tiny();
-  ProcResult r = measure_proc_suite(cfg);
-  EXPECT_GT(r.fork_exit_ms, 0.0);
-  EXPECT_GT(r.fork_exec_ms, r.fork_exit_ms * 0.8);
-  EXPECT_GT(r.fork_sh_ms, r.fork_exec_ms * 0.8);
+  ProcResult best = measure_proc_suite(cfg);
+  auto ordered = [&] {
+    return best.fork_exec_ms > best.fork_exit_ms * 0.8 &&
+           best.fork_sh_ms > best.fork_exec_ms * 0.8;
+  };
+  for (int run = 1; run < 3 && !ordered(); ++run) {
+    ProcResult r = measure_proc_suite(cfg);
+    best.fork_exit_ms = std::min(best.fork_exit_ms, r.fork_exit_ms);
+    best.fork_exec_ms = std::min(best.fork_exec_ms, r.fork_exec_ms);
+    best.fork_sh_ms = std::min(best.fork_sh_ms, r.fork_sh_ms);
+  }
+  EXPECT_GT(best.fork_exit_ms, 0.0);
+  EXPECT_GT(best.fork_exec_ms, best.fork_exit_ms * 0.8);
+  EXPECT_GT(best.fork_sh_ms, best.fork_exec_ms * 0.8);
 }
 
 TEST(LatProcTest, MissingExecutableFails) {

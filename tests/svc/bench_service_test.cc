@@ -6,7 +6,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/timing.h"
@@ -223,35 +225,114 @@ TEST_F(BenchServiceTest, FromOptionsMapsClockAndNanoscaleFlags) {
                UsageError);
 }
 
-TEST_F(BenchServiceTest, ClockSourceFlowsIntoEveryMeasurement) {
+// Two benchmarks that actually call measure(), so the run's clock and
+// nanoscale selection reach a Measurement.
+Registry make_timed_registry() {
   Registry registry;
-  registry.add(BenchmarkInfo{
-      .name = "fake_timed",
-      .category = "latency",
-      .description = "actually calls measure()",
-      .run =
-          [](const Options&) {
-            volatile int x = 0;
-            Measurement m = measure(
-                [&](std::uint64_t n) {
-                  for (std::uint64_t i = 0; i < n; ++i) x = x + 1;
-                },
-                TimingPolicy::quick());
-            RunResult r;
-            r.add("ns", m.ns_per_op, "ns");
-            r.measurement = m;
-            return r;
-          },
-  });
-  BenchService service(registry);
+  for (const char* name : {"fake_timed", "fake_timed2"}) {
+    registry.add(BenchmarkInfo{
+        .name = name,
+        .category = "latency",
+        .description = "actually calls measure()",
+        .run =
+            [](const Options&) {
+              volatile int x = 0;
+              Measurement m = measure(
+                  [&](std::uint64_t n) {
+                    for (std::uint64_t i = 0; i < n; ++i) x = x + 1;
+                  },
+                  TimingPolicy::quick());
+              RunResult r;
+              r.add("ns", m.ns_per_op, "ns");
+              r.measurement = m;
+              return r;
+            },
+    });
+  }
+  return registry;
+}
+
+RunRequest timed_request(ClockSource clock) {
   RunRequest req;
-  req.names = {"fake_timed"};
+  req.names = {"fake_timed", "fake_timed2"};
   req.use_cal_cache = false;
-  req.clock_source = ClockSource::kWall;  // forced wall: deterministic everywhere
+  req.clock_source = clock;
+  return req;
+}
+
+std::map<std::string, std::string> args_of(const obs::TraceEvent& event) {
+  return {event.args.begin(), event.args.end()};
+}
+
+TEST_F(BenchServiceTest, ClockSourceFlowsIntoEveryMeasurement) {
+  // Both resolve to wall everywhere: a forced wall, and a tsc request
+  // vetoed by LMBPP_NO_TSC.
+  const std::pair<ClockSource, bool> cases[] = {{ClockSource::kWall, false},
+                                                {ClockSource::kTsc, true}};
+  for (auto [requested, no_tsc] : cases) {
+    Registry registry = make_timed_registry();
+    BenchService service(registry);
+    if (no_tsc) {
+      ASSERT_EQ(setenv("LMBPP_NO_TSC", "1", 1), 0);
+    }
+    RunArtifacts artifacts = service.run(timed_request(requested));
+    ASSERT_EQ(unsetenv("LMBPP_NO_TSC"), 0);
+    ASSERT_EQ(artifacts.batch.results.size(), 2u);
+    for (const RunResult& r : artifacts.batch.results) {
+      ASSERT_TRUE(r.measurement.has_value()) << r.name;
+      EXPECT_EQ(r.measurement->clock_source, "wall") << r.name << " no_tsc=" << no_tsc;
+    }
+  }
+}
+
+// --clock=auto --nanoscale --trace: clock/select says what was asked for and
+// what ran, and every interval_overhead event and every measurement carries
+// that source with a measured, non-negative overhead.
+TEST_F(BenchServiceTest, NanoscaleTraceCarriesTheSelectedClock) {
+  Registry registry = make_timed_registry();
+  BenchService service(registry);
+  RunRequest req = timed_request(ClockSource::kAuto);
+  req.nanoscale = true;
+  req.collect_trace = true;
   RunArtifacts artifacts = service.run(req);
-  ASSERT_EQ(artifacts.batch.results.size(), 1u);
-  ASSERT_TRUE(artifacts.batch.results[0].measurement.has_value());
-  EXPECT_EQ(artifacts.batch.results[0].measurement->clock_source, "wall");
+
+  std::map<std::string, std::string> select;
+  int overhead_events = 0;
+  for (const obs::TraceEvent& e : artifacts.trace_events) {
+    if (e.cat == "clock" && e.name == "select") {
+      select = args_of(e);
+    }
+  }
+  ASSERT_FALSE(select.empty()) << "no clock/select event in the trace";
+  EXPECT_EQ(select["requested"], "auto");
+  const std::string source = select["source"];
+  ASSERT_TRUE(source == "tsc" || source == "wall") << source;
+  ASSERT_EQ(select.count("overhead_ns"), 1u);
+  EXPECT_GE(std::stoll(select["overhead_ns"]), 0);
+  if (source == "tsc") {
+    // Every tsc number traces back to how well its conversion was pinned.
+    EXPECT_GT(std::stod(select["tsc_mhz"]), 0.0);
+    EXPECT_GT(std::stod(select["tsc_error_ppm"]), 0.0);
+  }
+
+  for (const obs::TraceEvent& e : artifacts.trace_events) {
+    if (e.cat != "timing" || e.name != "interval_overhead") {
+      continue;
+    }
+    ++overhead_events;
+    std::map<std::string, std::string> a = args_of(e);
+    EXPECT_EQ(a["clock_source"], source) << e.bench;
+    EXPECT_GE(std::stoll(a["clock_read_ns"]), 0) << e.bench;
+    EXPECT_GE(std::stoll(a["interval_overhead_ns"]), 0) << e.bench;
+  }
+  EXPECT_GT(overhead_events, 0);
+
+  for (const RunResult& r : artifacts.batch.results) {
+    ASSERT_TRUE(r.measurement.has_value()) << r.name;
+    EXPECT_EQ(r.measurement->clock_source, source) << r.name;
+    EXPECT_TRUE(r.measurement->nanoscale) << r.name;
+    EXPECT_GE(r.measurement->interval_overhead_ns, 0) << r.name;
+  }
 }
 
 TEST_F(BenchServiceTest, TscFallbackWarningIsExplicit) {
