@@ -6,10 +6,12 @@
 //   ./build/examples/lmbench_compare --baseline-dir=DIR CURRENT.json [options]
 //
 //   BASELINE/CURRENT   lmbenchpp.results.v1 documents (run_suite --json=...)
-//   --baseline-dir=DIR compare CURRENT against the newest entry of a
-//                      baseline store instead of an explicit file
+//   --baseline-dir=DIR compare CURRENT against the newest run of its host
+//                      in a trend store (src/db/trend_store.h) instead of
+//                      an explicit file
 //   --save             append CURRENT to --baseline-dir after comparing
-//                      (establishes the baseline when the store is empty)
+//                      (establishes the baseline when the store holds no
+//                      run of CURRENT's host)
 //   --floor=PCT        significance floor in percent (default 5): deltas
 //                      below it never count, whatever the measured noise
 //   --sigmas=N         multiplier on the per-metric noise interval
@@ -43,7 +45,7 @@
 #include <string>
 
 #include "src/core/options.h"
-#include "src/db/baseline_store.h"
+#include "src/db/trend_store.h"
 #include "src/report/compare.h"
 #include "src/report/serialize.h"
 #include "src/sys/fdio.h"
@@ -70,29 +72,27 @@ int main(int argc, char** argv) try {
 
   std::optional<report::ResultBatch> baseline;
   report::ResultBatch current;
-  std::string current_path;
+  db::TrendStore store(baseline_dir);
   if (baseline_dir.empty()) {
     if (pos.size() != 2) {
       return usage();
     }
-    baseline = db::BaselineStore::load(pos[0]);
-    current_path = pos[1];
+    baseline = report::from_json(sys::read_file(pos[0]));
+    current = report::from_json(sys::read_file(pos[1]));
   } else {
     if (pos.size() != 1) {
       return usage();
     }
-    baseline = db::BaselineStore(baseline_dir).load_latest();
-    current_path = pos[0];
+    current = report::from_json(sys::read_file(pos[0]));
+    baseline = store.latest(current.system);
   }
-  current = db::BaselineStore::load(current_path);
 
   if (!baseline.has_value()) {
     // Only reachable in --baseline-dir mode.
-    db::BaselineStore store(baseline_dir);
     if (opts.get_bool("save")) {
-      std::string saved = store.save(current);
-      std::printf("no baseline in %s yet; established one: %s\n", baseline_dir.c_str(),
-                  saved.c_str());
+      long seq = store.append(current);
+      std::printf("no baseline in %s yet; established one: run %ld\n", baseline_dir.c_str(),
+                  seq);
       return 0;
     }
     std::fprintf(stderr, "lmbench_compare: no baseline in %s (rerun with --save)\n",
@@ -144,8 +144,7 @@ int main(int argc, char** argv) try {
   }
 
   if (!baseline_dir.empty() && opts.get_bool("save")) {
-    std::string saved = db::BaselineStore(baseline_dir).save(current);
-    std::printf("saved new baseline: %s\n", saved.c_str());
+    std::printf("saved new baseline: run %ld\n", store.append(current));
   }
 
   if (cmp.has_regressions() && !opts.get_bool("no-gate")) {

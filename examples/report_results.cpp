@@ -1,52 +1,53 @@
-// report_results: measure this machine's standard metric set and render the
-// classic lmbench-style multi-section summary; optionally merge and compare
-// against saved result databases.
+// report_results: the classic lmbench-style multi-section summary, one
+// column per lmbenchpp.results.v1 document (run_suite --json=...).
 //
-//   ./build/examples/report_results                       # measure + print
-//   ./build/examples/report_results --out=mine.db         # ... and save
-//   ./build/examples/report_results old.db other.db       # compare saved
-//   ./build/examples/report_results --measure old.db      # measure + compare
+//   ./build/examples/report_results a.json b.json            # compare saved runs
+//   ./build/examples/report_results --quick --json=mine.json # measure, print, save
+//   ./build/examples/report_results --measure a.json         # measure + compare
+//
+// With no files, or with --measure, the summary's benchmarks run here
+// through the suite service, so run_suite's flags and exit codes apply.
 #include <cstdio>
 
 #include "src/core/options.h"
-#include "src/db/collect.h"
-#include "src/db/result_set.h"
 #include "src/report/summary.h"
+#include "src/svc/bench_service.h"
+#include "src/sys/fdio.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace lmb;
   Options opts = Options::parse(argc, argv);
+  svc::RunRequest request = svc::RunRequest::from_options(opts);
 
-  db::ResultDatabase database;
+  std::vector<report::ResultBatch> batches;
   for (const std::string& path : opts.positionals()) {
-    db::ResultDatabase loaded = db::ResultDatabase::load(path);
-    for (const db::ResultSet* set : loaded.all()) {
-      database.add(*set);
+    batches.push_back(report::from_json(sys::read_file(path)));
+    std::printf("loaded %zu result(s) from %s\n", batches.back().results.size(), path.c_str());
+  }
+
+  int exit_code = 0;
+  if (batches.empty() || opts.get_bool("measure")) {
+    if (request.names.empty() && request.category.empty()) {
+      request.names = report::summary_benchmarks();
     }
-    std::printf("loaded %zu result set(s) from %s\n", loaded.size(), path.c_str());
-  }
-
-  bool measure_here = database.size() == 0 || opts.get_bool("measure", false);
-  if (measure_here) {
-    std::printf("collecting the standard metric set on this machine");
+    std::printf("measuring this machine");
     std::fflush(stdout);
-    db::CollectOptions collect_opts;
-    collect_opts.quick = !opts.get_bool("full", false);
-    collect_opts.on_metric = [](const db::MetricInfo&, double) {
-      std::printf(".");
-      std::fflush(stdout);
-    };
-    db::ResultSet mine = db::collect_standard_metrics(collect_opts);
-    std::printf(" done (%zu metrics)\n", mine.size());
-    database.add(mine);
+    // Static for the lifetime rule in bench_service.h.
+    static svc::BenchService service;
+    svc::RunArtifacts artifacts = service.run(request, [](const svc::ServiceEvent& event) {
+      if (event.kind == svc::ServiceEvent::Kind::kBenchFinish) {
+        std::printf(".");
+        std::fflush(stdout);
+      }
+    });
+    std::printf(" done (%zu metrics, %d failures)\n", artifacts.metric_count, artifacts.failed);
+    exit_code = artifacts.exit_code();
+    batches.push_back(std::move(artifacts.batch));
   }
 
-  std::printf("\n%s", report::render_summary(database).c_str());
-
-  std::string out_path = opts.get_string("out", "");
-  if (!out_path.empty()) {
-    database.save(out_path);
-    std::printf("\nsaved to %s\n", out_path.c_str());
-  }
-  return 0;
+  std::printf("\n%s", report::render_summary(batches).c_str());
+  return exit_code;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "report_results: %s\n", e.what());
+  return 2;
 }

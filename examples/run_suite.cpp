@@ -1,6 +1,6 @@
 // run_suite: the `lmbench-run` analog — run every registered benchmark
-// through the suite service and save typed results to the user-extensible
-// database (paper §3.5) and/or machine-readable JSON/CSV.
+// through the suite service and save typed results (paper §3.5) as
+// lmbenchpp.results.v1 JSON and/or CSV.
 //
 // This binary is a thin argv adapter: it parses flags into a
 // svc::RunRequest, executes it through the shared svc::BenchService (the
@@ -10,7 +10,6 @@
 //
 //   ./build/examples/run_suite [--quick] [--category=latency] [--jobs=N]
 //                              [--only=bench1,bench2] [--timeout=SECONDS]
-//                              [--out=results.db]
 //                              [--json=results.json] [--csv=results.csv]
 //                              [--trace=trace.json] [--trace-chrome=PATH]
 //                              [--counters] [--clock=auto|tsc|wall]
@@ -69,16 +68,17 @@
 //   --with-hang  register a deliberately-hanging `test_hang` benchmark
 //                (for exercising --timeout end to end)
 //   --baseline=PATH   after the run, compare this run's results against a
-//                baseline: PATH is either a results JSON file or a baseline
-//                -store directory (src/db/baseline_store.h).  An empty
-//                store is populated with this run ("baseline established").
+//                baseline: PATH is either a results JSON file or a trend
+//                store directory (src/db/trend_store.h) whose newest run
+//                for this host is the baseline.  A store with no run for
+//                this host gets this one ("baseline established").
 //   --gate[=PCT]      with --baseline: exit 3 when any metric regressed
 //                beyond the noise-aware threshold; PCT overrides the 5%
 //                significance floor
 //   --assume-noise=PCT  assumed relative noise for metrics without a stored
 //                repetition sample (see lmbench_compare)
 //   --save-baseline   with a directory --baseline: append this run to the
-//                store after comparing
+//                store after comparing, making it the next baseline
 //   --compare-json=PATH  write the comparison (lmbenchpp.compare.v1), e.g.
 //                BENCH_compare.json for CI artifacts
 //   --trend-store=DIR  append this run to a time-series trend store
@@ -205,10 +205,6 @@ int main(int argc, char** argv) try {
                  artifacts.cal_save_error.c_str());
   }
 
-  if (!request.out_path.empty()) {
-    std::printf("\nsaved %zu metrics to %s\n", artifacts.metric_count,
-                request.out_path.c_str());
-  }
   if (!request.json_path.empty()) {
     std::printf("wrote JSON to %s\n", request.json_path.c_str());
   }
@@ -298,16 +294,16 @@ int main(int argc, char** argv) try {
 
   if (!request.baseline_path.empty()) {
     if (artifacts.baseline_established) {
-      std::printf("\nno baseline in %s yet; established one: %s\n",
-                  request.baseline_path.c_str(), artifacts.baseline_saved_path.c_str());
+      std::printf("\nno baseline in %s yet; established one: run %ld\n",
+                  request.baseline_path.c_str(), artifacts.baseline_seq);
     } else if (artifacts.compare.has_value()) {
       std::printf("\n%s", report::render_compare_table(*artifacts.compare).c_str());
       std::printf("%s", report::render_environment_diff(*artifacts.compare).c_str());
       if (!request.compare_json_path.empty()) {
         std::printf("wrote comparison to %s\n", request.compare_json_path.c_str());
       }
-      if (request.save_baseline && !artifacts.baseline_saved_path.empty()) {
-        std::printf("saved new baseline: %s\n", artifacts.baseline_saved_path.c_str());
+      if (artifacts.baseline_seq >= 0) {
+        std::printf("saved new baseline: run %ld\n", artifacts.baseline_seq);
       }
       if (artifacts.gate_failed) {
         std::printf("regression gate FAILED (%d metrics beyond the noise threshold)\n",

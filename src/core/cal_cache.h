@@ -1,7 +1,7 @@
 // Calibration memoization: remember the iteration counts the geometric
 // calibration ramp discovered, so later runs (same process or, persisted
-// through src/db, a later process on the same host) skip straight to a
-// single validation probe.
+// as a lmbenchpp.calcache.v1 file by src/db/cal_store, a later process on
+// the same host) skip straight to a single validation probe.
 //
 // Key structure: each measure() call inside a benchmark gets a key of the
 // form `<bench>#<seq>@<min_interval_ns>` — the benchmark name comes from the
@@ -9,8 +9,9 @@
 // is the ordinal of the measure() call within one benchmark invocation
 // (stable for deterministic benchmark bodies; a changed body simply misses),
 // and the policy's min_interval is embedded so a policy change can never
-// reuse a count calibrated for a different interval.  Host identity is NOT
-// part of the key — persistence (src/db/cal_store) stores the host signature
+// reuse a count calibrated for a different interval; persistence loads an
+// entry only when that min_interval is positive.  Host identity is NOT part
+// of the key — persistence (src/db/cal_store) stores the host signature
 // alongside the whole set and discards the set wholesale on mismatch.
 //
 // A cached count is never trusted blindly: measure() re-times one interval

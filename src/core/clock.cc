@@ -40,8 +40,9 @@ std::optional<Nanos> seeded_clock_overhead(const std::string& source) {
 }
 
 std::string clock_overhead_cache_key(const std::string& source) {
-  // The '@1' suffix satisfies the cal_store key grammar (min_interval after
-  // the final '@' must be positive for an entry to round-trip).
+  // The '@1' suffix follows the cache key structure (src/core/cal_cache.h):
+  // persistence loads an entry only when the min_interval after the final
+  // '@' is positive.
   return "__clock_overhead__#" + source + "@1";
 }
 

@@ -56,7 +56,7 @@ Nanos measure_clock_overhead(const Clock& clock, int samples = 4096);
 Nanos measure_clock_overhead_robust(const Clock& clock, int samples = 2048, int rounds = 5);
 
 // Per-source overhead seeding: a persisted calibration cache (src/db/
-// cal_store) can pre-load the measured read overhead for a clock source so
+// cal_store.h) can pre-load the measured read overhead for a clock source so
 // nanoscale runs do not re-pay the startup probe.  A seed only takes effect
 // when installed before the first overhead_ns() call of that source (the
 // value is memoized per process); later seeds are ignored.
@@ -64,7 +64,8 @@ void seed_clock_overhead(const std::string& source, Nanos overhead);
 std::optional<Nanos> seeded_clock_overhead(const std::string& source);
 
 // Calibration-cache key under which a clock source's measured overhead is
-// persisted (see src/db/cal_store.h's key grammar).
+// persisted; it follows the `<name>#<seq>@<min_interval_ns>` key structure
+// of src/core/cal_cache.h so the entry survives the round trip.
 std::string clock_overhead_cache_key(const std::string& source);
 
 // The real monotonic wall clock (CLOCK_MONOTONIC).

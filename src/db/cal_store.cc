@@ -1,20 +1,15 @@
 #include "src/db/cal_store.h"
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
-#include "src/db/result_set.h"
+#include "src/report/json.h"
+#include "src/sys/fdio.h"
 
 namespace lmb::db {
 
 namespace {
-
-constexpr const char* kIterPrefix = "it:";
-constexpr const char* kWallPrefix = "wall:";
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
 
 // The cache key embeds the min_interval after the final '@'
 // (see CalibrationScope::next_key); recover it for the CalEntry.
@@ -30,34 +25,48 @@ Nanos min_interval_of(const std::string& cache_key) {
   }
 }
 
+// Member `key` of `obj` as a T; nullptr when absent or of another type.
+template <typename T>
+const T* member(const report::JsonObject& obj, const char* key) {
+  const report::JsonValue* v = report::find(obj, key);
+  return v != nullptr ? std::get_if<T>(&v->v) : nullptr;
+}
+
 }  // namespace
 
 size_t load_calibration_cache(const std::string& path, const std::string& host_sig,
                               CalibrationCache& cache) {
-  ResultDatabase database;
+  report::JsonValue doc;
+  const report::JsonObject* root = nullptr;
   try {
-    database = ResultDatabase::load(path);
+    doc = report::parse_json(sys::read_file(path));
+    root = &doc.object();
   } catch (const std::exception&) {
     return 0;  // missing or malformed file == cold cache
   }
-  const ResultSet* set = database.find(std::string(kCalSystemPrefix) + host_sig);
-  if (set == nullptr) {
-    return 0;  // never written, or written under a different host signature
+  const std::string* schema = member<std::string>(*root, "schema");
+  const std::string* host = member<std::string>(*root, "host");
+  if (schema == nullptr || *schema != kCalCacheSchema || host == nullptr || *host != host_sig) {
+    return 0;  // another format, or written under a different host signature
   }
   size_t loaded = 0;
-  for (const auto& [key, value] : set->metrics()) {
-    if (starts_with(key, kIterPrefix)) {
-      std::string cache_key = key.substr(std::string(kIterPrefix).size());
-      Nanos min_interval = min_interval_of(cache_key);
-      auto iterations = static_cast<std::uint64_t>(value);
-      if (min_interval > 0 && iterations > 0) {
-        cache.put(cache_key, CalEntry{iterations, min_interval});
+  if (const auto* iterations = member<report::JsonObject>(*root, "iterations")) {
+    for (const auto& [key, value] : *iterations) {
+      Nanos min_interval = min_interval_of(key);
+      const double* n = std::get_if<double>(&value.v);
+      // The cast to uint64_t is defined only for a finite n in [1, 2^64);
+      // NaN fails both comparisons.
+      if (min_interval > 0 && n != nullptr && *n >= 1.0 && *n < 18446744073709551616.0) {
+        cache.put(key, CalEntry{static_cast<std::uint64_t>(*n), min_interval});
         ++loaded;
       }
-    } else if (starts_with(key, kWallPrefix)) {
-      std::string bench = key.substr(std::string(kWallPrefix).size());
-      if (!bench.empty() && value >= 0) {
-        cache.record_wall_ms(bench, value);
+    }
+  }
+  if (const auto* wall = member<report::JsonObject>(*root, "wall_ms")) {
+    for (const auto& [bench, value] : *wall) {
+      const double* ms = std::get_if<double>(&value.v);
+      if (!bench.empty() && ms != nullptr && std::isfinite(*ms) && *ms >= 0) {
+        cache.record_wall_ms(bench, *ms);
         ++loaded;
       }
     }
@@ -67,30 +76,23 @@ size_t load_calibration_cache(const std::string& path, const std::string& host_s
 
 void save_calibration_cache(const std::string& path, const std::string& host_sig,
                             const CalibrationCache& cache) {
-  // Preserve measured result sets living in the same file, but drop every
-  // calibration set — including ones under a stale host signature, which
-  // would otherwise accumulate across kernel upgrades and never be read.
-  ResultDatabase loaded;
-  try {
-    loaded = ResultDatabase::load(path);
-  } catch (const std::exception&) {
-    // Start fresh.
-  }
-  ResultDatabase database;
-  for (const ResultSet* other : loaded.all()) {
-    if (!starts_with(other->system(), kCalSystemPrefix)) {
-      database.add(*other);
-    }
-  }
-  ResultSet set(std::string(kCalSystemPrefix) + host_sig);
+  std::string out = "{\"schema\":" + report::json_quote(kCalCacheSchema) +
+                    ",\"host\":" + report::json_quote(host_sig) + ",\"iterations\":{";
+  bool first = true;
   for (const auto& [cache_key, entry] : cache.entries()) {
-    set.set(std::string(kIterPrefix) + cache_key, static_cast<double>(entry.iterations));
+    out += first ? "" : ",";
+    first = false;
+    out += report::json_quote(cache_key) + ":" + std::to_string(entry.iterations);
   }
+  out += "},\"wall_ms\":{";
+  first = true;
   for (const auto& [bench, ms] : cache.wall_ms()) {
-    set.set(std::string(kWallPrefix) + bench, ms);
+    out += first ? "" : ",";
+    first = false;
+    out += report::json_quote(bench) + ":" + report::json_double(ms);
   }
-  database.add(std::move(set));
-  database.save(path);
+  out += "}}\n";
+  sys::write_file(path, out);
 }
 
 }  // namespace lmb::db

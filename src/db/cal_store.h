@@ -1,13 +1,15 @@
-// Persistence for the calibration cache, through the same line-oriented
-// results database the suite already uses (§3.5's "user-extensible
-// database" carrying harness state as well as results).
+// Persistence for the calibration cache: one small JSON document.
 //
-// Layout: one ResultSet whose system name is `calibration:<host-signature>`
-// (src/core/env.h).  Metric keys:
-//   it:<cache-key>   calibrated iteration count (the cache key embeds the
-//                    min_interval, see src/core/cal_cache.h)
-//   wall:<bench>     whole-benchmark wall clock in ms, for the runner's
-//                    longest-expected-first scheduling
+//   {"schema": "lmbenchpp.calcache.v1",
+//    "host": "<host-signature>",          // src/core/env.h
+//    "iterations": {"<cache-key>": n, ...},
+//    "wall_ms": {"<bench>": ms, ...}}
+//
+// `iterations` maps each CalibrationCache key to its calibrated iteration
+// count.  Keys follow the `<name>#<seq>@<min_interval_ns>` structure of
+// src/core/cal_cache.h; the min_interval after the final '@' must be
+// positive for an entry to load.  `wall_ms` holds whole-benchmark wall
+// clock in ms, for the runner's longest-expected-first scheduling.
 //
 // Host binding is wholesale: a file written on a different host (or after a
 // kernel upgrade / CPU change) fails the signature check and loads nothing,
@@ -22,20 +24,21 @@
 
 namespace lmb::db {
 
-// System-name prefix of the calibration set inside a ResultDatabase.
-inline constexpr const char* kCalSystemPrefix = "calibration:";
+// Schema identifier of the calibration-cache document.
+inline constexpr const char* kCalCacheSchema = "lmbenchpp.calcache.v1";
 
 // Loads persisted calibration state from `path` into `cache`.  Returns the
 // number of entries loaded (iteration counts + wall-clock records); 0 when
-// the file is missing, unreadable, malformed, holds no calibration set, or
-// was written under a different host signature (all of which mean "cold
-// cache", never an error).
+// the file is missing, unreadable, malformed, of another schema, or was
+// written under a different host signature (all of which mean "cold
+// cache", never an error).  An entry whose value is unusable (an iteration
+// count outside [1, 2^64), a negative wall clock, null, a string) is
+// skipped on its own.
 size_t load_calibration_cache(const std::string& path, const std::string& host_sig,
                               CalibrationCache& cache);
 
-// Writes `cache` to `path`, replacing any previous calibration set (other
-// result sets in the file are preserved).  Throws std::runtime_error when
-// the file cannot be written.
+// Writes `cache` to `path` as the whole file, replacing whatever was there.
+// Throws std::runtime_error when the file cannot be written.
 void save_calibration_cache(const std::string& path, const std::string& host_sig,
                             const CalibrationCache& cache);
 

@@ -4,9 +4,10 @@
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <regex>
 #include <stdexcept>
 
-#include "src/db/baseline_store.h"
 #include "src/obs/run_env.h"
 #include "src/report/json.h"
 #include "src/sys/fdio.h"
@@ -54,6 +55,15 @@ long seq_of(const report::JsonValue& line) {
     throw std::invalid_argument("trend line without seq");
   }
   return static_cast<long>(seq->number());
+}
+
+// Appends one JSONL record.  A torn tail (a crashed writer's partial last
+// line, no newline) is closed off first, so it stays one skipped line
+// instead of swallowing this record too.
+void append_record(const std::string& path, const std::string& record) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  bool torn = in && in.tellg() > 0 && in.seekg(-1, std::ios::end) && in.get() != '\n';
+  sys::append_file(path, torn ? "\n" + record : record);
 }
 
 }  // namespace
@@ -110,8 +120,13 @@ long TrendStore::append(const report::ResultBatch& batch) {
               ",\"value\":" + report::json_double(m.value) +
               ",\"unit\":" + report::json_quote(m.unit) + "}";
     }
-    line += "]}\n";
-    sys::append_file((shard_dir / (shard_name(r.name) + kSuffix)).string(), line);
+    line += "]";
+    if (r.measurement.has_value()) {
+      line += ",\"measurement\":";
+      report::append_measurement_json(line, *r.measurement, "");
+    }
+    line += "}\n";
+    append_record((shard_dir / (shard_name(r.name) + kSuffix)).string(), line);
     ++recorded;
   }
 
@@ -137,7 +152,7 @@ long TrendStore::append(const report::ResultBatch& batch) {
     }
   }
   line += "}}\n";
-  sys::append_file((shard_dir / kRunLog).string(), line);
+  append_record((shard_dir / kRunLog).string(), line);
   return seq;
 }
 
@@ -255,6 +270,44 @@ std::vector<TrendSeries> TrendStore::all_series(const std::string& host) const {
   return out;
 }
 
+std::optional<report::ResultBatch> TrendStore::latest(const std::string& system) const {
+  const std::string host = shard_name(system);
+  std::vector<TrendRun> log = runs(host);
+  auto run = std::find_if(log.rbegin(), log.rend(),
+                          [&](const TrendRun& r) { return r.system == system; });
+  if (run == log.rend()) {
+    return std::nullopt;
+  }
+  report::ResultBatch batch;
+  batch.system = run->system;
+  if (!run->env.empty()) {
+    batch.environment.emplace();
+    for (const auto& [name, value] : run->env) {
+      obs::set_environment_field(*batch.environment, name, value);
+    }
+  }
+  for (const std::string& bench : benches(host)) {
+    std::optional<RunResult> result;
+    for (const report::JsonValue& line :
+         read_jsonl((fs::path(dir_) / host / (bench + kSuffix)).string())) {
+      try {
+        // The later of two same-numbered lines wins: a crashed append can
+        // leave one whose number the next append reused.
+        if (seq_of(line) == run->seq) {
+          result = report::result_from_json(line);
+          result->name = bench;
+        }
+      } catch (const std::exception&) {
+        // Skipped: malformed benchmark record.
+      }
+    }
+    if (result.has_value()) {
+      batch.results.push_back(std::move(*result));
+    }
+  }
+  return batch;
+}
+
 void TrendStore::compact(size_t keep) {
   for (const std::string& host : hosts()) {
     fs::path shard_dir = fs::path(dir_) / host;
@@ -298,10 +351,20 @@ void TrendStore::compact(size_t keep) {
 }
 
 size_t TrendStore::import_baselines(const std::string& baseline_dir) {
+  // Zero-padded sequence numbers: name order is oldest first.
+  static const std::regex kEntry("baseline-[0-9]+\\.json");
+  std::vector<std::string> paths;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(baseline_dir, ec)) {
+    if (std::regex_match(entry.path().filename().string(), kEntry)) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
   size_t imported = 0;
-  for (const std::string& path : BaselineStore(baseline_dir).list()) {
+  for (const std::string& path : paths) {
     try {
-      append(BaselineStore::load(path));
+      append(report::from_json(sys::read_file(path)));
       ++imported;
     } catch (const std::exception&) {
       // Skipped: corrupt baseline entry.

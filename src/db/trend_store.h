@@ -1,15 +1,16 @@
-// Time-series result store — the baseline store (src/db/baseline_store.h)
-// evolved from "newest run wins" into run *history*, the substrate for
-// continuous benchmarking (ROOT-style performance CI; ROADMAP [service]).
+// Time-series result store: the run history of every host, and the one
+// store both the trend report and the regression gate read (ROOT-style
+// continuous benchmarking, Shadura et al.).
 //
 // Layout: one shard directory per host under the store root, holding one
 // append-only JSONL file per benchmark plus a run log:
 //
 //   <dir>/<host-shard>/runs.jsonl     one line per appended batch: sequence
 //                                     number, system label, wall clock, and
-//                                     the PR 5 provenance block
+//                                     the provenance block
 //   <dir>/<host-shard>/<bench>.jsonl  one line per run: {seq, wall_ms,
-//                                     metrics:[{key, value, unit}]}
+//                                     metrics:[{key, value, unit}],
+//                                     measurement} (the results.v1 object)
 //
 // Appends are O(1) per benchmark (no rewrite of history), reads of one
 // benchmark's trend touch exactly one shard file, and hosts never contend —
@@ -22,6 +23,7 @@
 #define LMBENCHPP_SRC_DB_TREND_STORE_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,14 +85,21 @@ class TrendStore {
   // Every series in the whole shard (one call for the trend report).
   std::vector<TrendSeries> all_series(const std::string& host) const;
 
+  // The newest complete run (its run-log line is on disk) recorded under
+  // exactly this system label, as a batch: provenance as `environment`,
+  // each benchmark's metrics and measurement.  The baseline run_suite
+  // --baseline=DIR and lmbench_compare --baseline-dir gate against; nullopt
+  // when the shard holds no run of that system.
+  std::optional<report::ResultBatch> latest(const std::string& system) const;
+
   // Rewrites every shard file keeping only the newest `keep` runs per
   // benchmark (and the newest `keep` run-log lines).  Unparseable lines
   // are dropped in the process.
   void compact(size_t keep);
 
-  // Imports a PR 3 baseline-store directory (baseline-NNNNNN.json files,
-  // oldest first) as successive appends — the migration path.  Entries
-  // that fail to parse are skipped.  Returns the number imported.
+  // One-shot migration: imports a retired baseline directory's
+  // `baseline-NNNNNN.json` files, oldest first, as successive appends,
+  // skipping entries that fail to parse.  Returns the number imported.
   size_t import_baselines(const std::string& baseline_dir);
 
   const std::string& dir() const { return dir_; }

@@ -13,6 +13,139 @@ std::string json_string(const std::string& s) { return json_quote(s); }
 
 std::string json_number(double v) { return json_double(v); }
 
+// Appends {"name": value, ...}: one field per line below `indent`, or all on
+// one line when `indent` is empty.
+void append_object(std::string& out,
+                   const std::vector<std::pair<const char*, std::string>>& fields,
+                   const std::string& indent) {
+  for (size_t i = 0; i < fields.size(); ++i) {
+    out += i == 0 ? "{" : ",";
+    out += indent.empty() ? "" : "\n" + indent + "  ";
+    out += json_string(fields[i].first) + (indent.empty() ? ":" : ": ") + fields[i].second;
+  }
+  out += indent.empty() ? "}" : "\n" + indent + "}";
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// The measurement object
+
+void append_measurement_json(std::string& out, const Measurement& m,
+                             const std::string& indent) {
+  std::string samples = "[";
+  for (double s : m.sample.values()) {
+    samples += (samples.size() > 1 ? ", " : "") + json_number(s);
+  }
+  // Counter-derived ratios are ALWAYS present per measurement: null — never
+  // 0 — when sampling was off or perf_event_open unavailable.
+  const obs::CounterTotals* ct = m.counters.has_value() ? &*m.counters : nullptr;
+  std::string counters;
+  if (ct != nullptr) {
+    append_object(counters,
+                  {{"intervals", std::to_string(ct->intervals)},
+                   {"cycles", json_number(ct->cycles)},
+                   {"instructions", json_number(ct->instructions)},
+                   {"cache_refs", ct->has_cache ? json_number(ct->cache_refs) : "null"},
+                   {"cache_misses", ct->has_cache ? json_number(ct->cache_misses) : "null"},
+                   {"ctx_switches", ct->has_ctx ? json_number(ct->ctx_switches) : "null"},
+                   {"multiplexed", ct->multiplexed ? "true" : "false"}},
+                  indent.empty() ? "" : indent + "  ");
+  }
+  append_object(
+      out,
+      {{"ns_per_op", json_number(m.ns_per_op)},
+       {"mean_ns_per_op", json_number(m.mean_ns_per_op)},
+       {"median_ns_per_op", json_number(m.median_ns_per_op)},
+       {"max_ns_per_op", json_number(m.max_ns_per_op)},
+       // Variability detail for noise-aware comparison (lmbench_compare):
+       // the per-repetition sample and its spread.
+       {"stddev_ns_per_op", m.sample.count() >= 2 ? json_number(m.sample.stddev()) : "null"},
+       {"samples", samples + "]"},
+       {"iterations", std::to_string(m.iterations)},
+       {"repetitions", std::to_string(m.repetitions)},
+       {"clock_overhead_ns", std::to_string(m.clock_overhead_ns)},
+       // Time-source provenance: which clock produced the intervals, whether
+       // the batched nanoscale path ran, and — nanoscale only — the measured
+       // per-interval clock(+counter) read cost.  Null, never 0, outside
+       // nanoscale mode.
+       {"clock_source", m.clock_source.empty() ? "null" : json_string(m.clock_source)},
+       {"nanoscale", m.nanoscale ? "true" : "false"},
+       {"interval_overhead_ns",
+        m.interval_overhead_ns >= 0 ? std::to_string(m.interval_overhead_ns) : "null"},
+       {"converged", m.converged ? "true" : "false"},
+       {"calibration_cached", m.calibration_cached ? "true" : "false"},
+       {"ipc", ct != nullptr ? json_number(ct->ipc()) : "null"},
+       {"cache_miss_rate", ct != nullptr ? json_number(ct->cache_miss_rate()) : "null"},
+       {"counters", counters.empty() ? "null" : counters}},
+      indent);
+}
+
+namespace {
+
+Measurement measurement_from_json(const JsonValue& value) {
+  const JsonObject& mo = value.object();
+  Measurement m;
+  if (const JsonValue* f = find(mo, "ns_per_op")) m.ns_per_op = number_or_nan(*f);
+  if (const JsonValue* f = find(mo, "mean_ns_per_op")) m.mean_ns_per_op = number_or_nan(*f);
+  if (const JsonValue* f = find(mo, "median_ns_per_op")) {
+    m.median_ns_per_op = number_or_nan(*f);
+  }
+  if (const JsonValue* f = find(mo, "max_ns_per_op")) m.max_ns_per_op = number_or_nan(*f);
+  if (const JsonValue* f = find(mo, "samples"); f != nullptr && !f->is_null()) {
+    for (const JsonValue& sv : f->array()) {
+      m.sample.add(number_or_nan(sv));
+    }
+  }
+  if (const JsonValue* f = find(mo, "iterations")) {
+    m.iterations = static_cast<std::uint64_t>(f->number());
+  }
+  if (const JsonValue* f = find(mo, "repetitions")) {
+    m.repetitions = static_cast<int>(f->number());
+  }
+  if (const JsonValue* f = find(mo, "clock_overhead_ns")) {
+    m.clock_overhead_ns = static_cast<Nanos>(f->number());
+  }
+  if (const JsonValue* f = find(mo, "clock_source"); f != nullptr && !f->is_null()) {
+    m.clock_source = f->str();
+  }
+  if (const JsonValue* f = find(mo, "nanoscale")) m.nanoscale = f->boolean();
+  if (const JsonValue* f = find(mo, "interval_overhead_ns"); f != nullptr && !f->is_null()) {
+    m.interval_overhead_ns = static_cast<Nanos>(f->number());
+  }
+  if (const JsonValue* f = find(mo, "converged")) m.converged = f->boolean();
+  if (const JsonValue* f = find(mo, "calibration_cached")) {
+    m.calibration_cached = f->boolean();
+  }
+  if (const JsonValue* f = find(mo, "counters"); f != nullptr && !f->is_null()) {
+    const JsonObject& co = f->object();
+    obs::CounterTotals ct;
+    if (const JsonValue* g = find(co, "intervals")) {
+      ct.intervals = static_cast<int>(g->number());
+    }
+    if (const JsonValue* g = find(co, "cycles")) ct.cycles = number_or_nan(*g);
+    if (const JsonValue* g = find(co, "instructions")) {
+      ct.instructions = number_or_nan(*g);
+    }
+    // Null cache/ctx cells mean those counters never opened; the flags
+    // record that so re-serialization emits nulls again, not zeros.
+    if (const JsonValue* g = find(co, "cache_refs"); g != nullptr && !g->is_null()) {
+      ct.cache_refs = g->number();
+      ct.has_cache = true;
+    }
+    if (const JsonValue* g = find(co, "cache_misses"); g != nullptr && !g->is_null()) {
+      ct.cache_misses = g->number();
+    }
+    if (const JsonValue* g = find(co, "ctx_switches"); g != nullptr && !g->is_null()) {
+      ct.ctx_switches = g->number();
+      ct.has_ctx = true;
+    }
+    if (const JsonValue* g = find(co, "multiplexed")) ct.multiplexed = g->boolean();
+    m.counters = ct;
+  }
+  return m;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -57,101 +190,73 @@ std::string to_json(const ResultBatch& batch) {
   for (const RunResult& r : batch.results) {
     out += first_result ? "\n" : ",\n";
     first_result = false;
-    out += "    {\n";
-    out += "      \"name\": " + json_string(r.name) + ",\n";
-    out += "      \"category\": " + json_string(r.category) + ",\n";
-    out += "      \"status\": " + json_string(run_status_name(r.status)) + ",\n";
-    out += "      \"error\": " + (r.error.empty() ? "null" : json_string(r.error)) + ",\n";
-    out += "      \"wall_ms\": " + (r.wall_ms > 0 ? json_number(r.wall_ms) : "null") + ",\n";
-    out += "      \"display\": " + (r.display.empty() ? "null" : json_string(r.display)) + ",\n";
-    out += "      \"metrics\": [";
-    bool first_metric = true;
+    std::string metrics = "[";
     for (const Metric& m : r.metrics) {
-      out += first_metric ? "\n" : ",\n";
-      first_metric = false;
-      out += "        {\"key\": " + json_string(m.key) + ", \"value\": " + json_number(m.value) +
-             ", \"unit\": " + json_string(m.unit) + "}";
+      metrics += (metrics.size() > 1 ? ",\n" : "\n") + std::string(8, ' ') + "{\"key\": " +
+                 json_string(m.key) + ", \"value\": " + json_number(m.value) +
+                 ", \"unit\": " + json_string(m.unit) + "}";
     }
-    out += first_metric ? "],\n" : "\n      ],\n";
+    std::string measurement;
     if (r.measurement.has_value()) {
-      const Measurement& m = *r.measurement;
-      out += "      \"measurement\": {\n";
-      out += "        \"ns_per_op\": " + json_number(m.ns_per_op) + ",\n";
-      out += "        \"mean_ns_per_op\": " + json_number(m.mean_ns_per_op) + ",\n";
-      out += "        \"median_ns_per_op\": " + json_number(m.median_ns_per_op) + ",\n";
-      out += "        \"max_ns_per_op\": " + json_number(m.max_ns_per_op) + ",\n";
-      // Variability detail for noise-aware comparison (lmbench_compare):
-      // the per-repetition sample and its spread.
-      out += "        \"stddev_ns_per_op\": " +
-             (m.sample.count() >= 2 ? json_number(m.sample.stddev()) : "null") + ",\n";
-      out += "        \"samples\": [";
-      bool first_sample = true;
-      for (double s : m.sample.values()) {
-        out += first_sample ? "" : ", ";
-        first_sample = false;
-        out += json_number(s);
-      }
-      out += "],\n";
-      out += "        \"iterations\": " + std::to_string(m.iterations) + ",\n";
-      out += "        \"repetitions\": " + std::to_string(m.repetitions) + ",\n";
-      out += "        \"clock_overhead_ns\": " + std::to_string(m.clock_overhead_ns) + ",\n";
-      // Time-source provenance: which clock produced the intervals, whether
-      // the batched nanoscale path ran, and — nanoscale only — the measured
-      // per-interval clock(+counter) read cost.  Null, never 0, outside
-      // nanoscale mode.
-      out += "        \"clock_source\": " +
-             (m.clock_source.empty() ? std::string("null") : json_string(m.clock_source)) +
-             ",\n";
-      out += std::string("        \"nanoscale\": ") + (m.nanoscale ? "true" : "false") + ",\n";
-      out += "        \"interval_overhead_ns\": " +
-             (m.interval_overhead_ns >= 0 ? std::to_string(m.interval_overhead_ns)
-                                          : std::string("null")) +
-             ",\n";
-      out += std::string("        \"converged\": ") + (m.converged ? "true" : "false") + ",\n";
-      out += std::string("        \"calibration_cached\": ") +
-             (m.calibration_cached ? "true" : "false") + ",\n";
-      // Counter-derived ratios are ALWAYS present per measurement: null —
-      // never 0 — when sampling was off or perf_event_open unavailable.
-      const obs::CounterTotals* ct =
-          m.counters.has_value() ? &*m.counters : nullptr;
-      out += "        \"ipc\": " + (ct != nullptr ? json_number(ct->ipc()) : "null") + ",\n";
-      out += "        \"cache_miss_rate\": " +
-             (ct != nullptr ? json_number(ct->cache_miss_rate()) : "null") + ",\n";
-      if (ct != nullptr) {
-        out += "        \"counters\": {\n";
-        out += "          \"intervals\": " + std::to_string(ct->intervals) + ",\n";
-        out += "          \"cycles\": " + json_number(ct->cycles) + ",\n";
-        out += "          \"instructions\": " + json_number(ct->instructions) + ",\n";
-        out += "          \"cache_refs\": " +
-               (ct->has_cache ? json_number(ct->cache_refs) : "null") + ",\n";
-        out += "          \"cache_misses\": " +
-               (ct->has_cache ? json_number(ct->cache_misses) : "null") + ",\n";
-        out += "          \"ctx_switches\": " +
-               (ct->has_ctx ? json_number(ct->ctx_switches) : "null") + ",\n";
-        out += std::string("          \"multiplexed\": ") +
-               (ct->multiplexed ? "true" : "false") + "\n";
-        out += "        }\n";
-      } else {
-        out += "        \"counters\": null\n";
-      }
-      out += "      },\n";
-    } else {
-      out += "      \"measurement\": null,\n";
+      append_measurement_json(measurement, *r.measurement, "      ");
     }
-    out += "      \"metadata\": {";
-    bool first_meta = true;
+    std::string metadata;
     for (const auto& [key, value] : r.metadata) {
-      out += first_meta ? "" : ", ";
-      first_meta = false;
-      out += json_string(key) + ": " + json_string(value);
+      metadata += (metadata.empty() ? "" : ", ") + json_string(key) + ": " + json_string(value);
     }
-    out += "}\n";
-    out += "    }";
+    out += "    ";
+    append_object(out,
+                  {{"name", json_string(r.name)},
+                   {"category", json_string(r.category)},
+                   {"status", json_string(run_status_name(r.status))},
+                   {"error", r.error.empty() ? "null" : json_string(r.error)},
+                   {"wall_ms", r.wall_ms > 0 ? json_number(r.wall_ms) : "null"},
+                   {"display", r.display.empty() ? "null" : json_string(r.display)},
+                   {"metrics", metrics + (r.metrics.empty() ? "]" : "\n      ]")},
+                   {"measurement", measurement.empty() ? "null" : measurement},
+                   {"metadata", "{" + metadata + "}"}},
+                  "    ");
   }
   out += batch.results.empty() ? "],\n" : "\n  ],\n";
   out += "  \"count\": " + std::to_string(batch.results.size()) + "\n";
   out += "}\n";
   return out;
+}
+
+RunResult result_from_json(const JsonValue& entry) {
+  const JsonObject& obj = entry.object();
+  RunResult r;
+  if (const JsonValue* v = find(obj, "name")) r.name = v->str();
+  if (const JsonValue* v = find(obj, "category")) r.category = v->str();
+  if (const JsonValue* v = find(obj, "status")) r.status = run_status_from_name(v->str());
+  if (const JsonValue* v = find(obj, "error"); v != nullptr && !v->is_null()) {
+    r.error = v->str();
+  }
+  if (const JsonValue* v = find(obj, "wall_ms"); v != nullptr && !v->is_null()) {
+    r.wall_ms = v->number();
+  }
+  if (const JsonValue* v = find(obj, "display"); v != nullptr && !v->is_null()) {
+    r.display = v->str();
+  }
+  if (const JsonValue* v = find(obj, "metrics")) {
+    for (const JsonValue& mv : v->array()) {
+      const JsonObject& mo = mv.object();
+      Metric m;
+      if (const JsonValue* f = find(mo, "key")) m.key = f->str();
+      if (const JsonValue* f = find(mo, "value")) m.value = number_or_nan(*f);
+      if (const JsonValue* f = find(mo, "unit")) m.unit = f->str();
+      r.metrics.push_back(std::move(m));
+    }
+  }
+  if (const JsonValue* v = find(obj, "measurement"); v != nullptr && !v->is_null()) {
+    r.measurement = measurement_from_json(*v);
+  }
+  if (const JsonValue* v = find(obj, "metadata"); v != nullptr && !v->is_null()) {
+    for (const auto& [key, value] : v->object()) {
+      r.metadata[key] = value.str();
+    }
+  }
+  return r;
 }
 
 ResultBatch from_json(const std::string& text) {
@@ -198,99 +303,7 @@ ResultBatch from_json(const std::string& text) {
     throw std::invalid_argument("json: missing results array");
   }
   for (const JsonValue& entry : results->array()) {
-    const JsonObject& obj = entry.object();
-    RunResult r;
-    if (const JsonValue* v = find(obj, "name")) r.name = v->str();
-    if (const JsonValue* v = find(obj, "category")) r.category = v->str();
-    if (const JsonValue* v = find(obj, "status")) r.status = run_status_from_name(v->str());
-    if (const JsonValue* v = find(obj, "error"); v != nullptr && !v->is_null()) {
-      r.error = v->str();
-    }
-    if (const JsonValue* v = find(obj, "wall_ms"); v != nullptr && !v->is_null()) {
-      r.wall_ms = v->number();
-    }
-    if (const JsonValue* v = find(obj, "display"); v != nullptr && !v->is_null()) {
-      r.display = v->str();
-    }
-    if (const JsonValue* v = find(obj, "metrics")) {
-      for (const JsonValue& mv : v->array()) {
-        const JsonObject& mo = mv.object();
-        Metric m;
-        if (const JsonValue* f = find(mo, "key")) m.key = f->str();
-        if (const JsonValue* f = find(mo, "value")) m.value = number_or_nan(*f);
-        if (const JsonValue* f = find(mo, "unit")) m.unit = f->str();
-        r.metrics.push_back(std::move(m));
-      }
-    }
-    if (const JsonValue* v = find(obj, "measurement"); v != nullptr && !v->is_null()) {
-      const JsonObject& mo = v->object();
-      Measurement m;
-      if (const JsonValue* f = find(mo, "ns_per_op")) m.ns_per_op = number_or_nan(*f);
-      if (const JsonValue* f = find(mo, "mean_ns_per_op")) m.mean_ns_per_op = number_or_nan(*f);
-      if (const JsonValue* f = find(mo, "median_ns_per_op")) {
-        m.median_ns_per_op = number_or_nan(*f);
-      }
-      if (const JsonValue* f = find(mo, "max_ns_per_op")) m.max_ns_per_op = number_or_nan(*f);
-      if (const JsonValue* f = find(mo, "samples"); f != nullptr && !f->is_null()) {
-        for (const JsonValue& sv : f->array()) {
-          m.sample.add(number_or_nan(sv));
-        }
-      }
-      if (const JsonValue* f = find(mo, "iterations")) {
-        m.iterations = static_cast<std::uint64_t>(f->number());
-      }
-      if (const JsonValue* f = find(mo, "repetitions")) {
-        m.repetitions = static_cast<int>(f->number());
-      }
-      if (const JsonValue* f = find(mo, "clock_overhead_ns")) {
-        m.clock_overhead_ns = static_cast<Nanos>(f->number());
-      }
-      if (const JsonValue* f = find(mo, "clock_source"); f != nullptr && !f->is_null()) {
-        m.clock_source = f->str();
-      }
-      if (const JsonValue* f = find(mo, "nanoscale")) m.nanoscale = f->boolean();
-      if (const JsonValue* f = find(mo, "interval_overhead_ns");
-          f != nullptr && !f->is_null()) {
-        m.interval_overhead_ns = static_cast<Nanos>(f->number());
-      }
-      if (const JsonValue* f = find(mo, "converged")) m.converged = f->boolean();
-      if (const JsonValue* f = find(mo, "calibration_cached")) {
-        m.calibration_cached = f->boolean();
-      }
-      if (const JsonValue* f = find(mo, "counters"); f != nullptr && !f->is_null()) {
-        const JsonObject& co = f->object();
-        obs::CounterTotals ct;
-        if (const JsonValue* g = find(co, "intervals")) {
-          ct.intervals = static_cast<int>(g->number());
-        }
-        if (const JsonValue* g = find(co, "cycles")) ct.cycles = number_or_nan(*g);
-        if (const JsonValue* g = find(co, "instructions")) {
-          ct.instructions = number_or_nan(*g);
-        }
-        // Null cache/ctx cells mean those counters never opened; the flags
-        // record that so re-serialization emits nulls again, not zeros.
-        if (const JsonValue* g = find(co, "cache_refs"); g != nullptr && !g->is_null()) {
-          ct.cache_refs = g->number();
-          ct.has_cache = true;
-        }
-        if (const JsonValue* g = find(co, "cache_misses"); g != nullptr && !g->is_null()) {
-          ct.cache_misses = g->number();
-        }
-        if (const JsonValue* g = find(co, "ctx_switches"); g != nullptr && !g->is_null()) {
-          ct.ctx_switches = g->number();
-          ct.has_ctx = true;
-        }
-        if (const JsonValue* g = find(co, "multiplexed")) ct.multiplexed = g->boolean();
-        m.counters = ct;
-      }
-      r.measurement = m;
-    }
-    if (const JsonValue* v = find(obj, "metadata"); v != nullptr && !v->is_null()) {
-      for (const auto& [key, value] : v->object()) {
-        r.metadata[key] = value.str();
-      }
-    }
-    batch.results.push_back(std::move(r));
+    batch.results.push_back(result_from_json(entry));
   }
   return batch;
 }

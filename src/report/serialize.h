@@ -1,8 +1,8 @@
 // Machine-readable emitters for RunResult batches.
 //
-// The paper's database is a line-oriented text format (src/db/result_set.h);
-// these emitters are the modern complements: JSON for tooling/CI pipelines
-// and CSV for spreadsheets.  Both are lossless about *absence* — a failed
+// `lmbenchpp.results.v1` JSON is the one results format: every tool reads
+// and writes it, and the trend store (src/db/trend_store.h) keeps its
+// per-benchmark parts as history.  CSV is the spreadsheet view.  Both are lossless about *absence* — a failed
 // benchmark's missing metrics serialize as JSON null / empty CSV cells,
 // never as 0 (a 0 is a measurement; a blank is the lack of one).
 #ifndef LMBENCHPP_SRC_REPORT_SERIALIZE_H_
@@ -71,6 +71,19 @@ std::string to_json(const ResultBatch& batch);
 // Parses a document produced by to_json (any JSON with that shape works).
 // Throws std::invalid_argument on malformed input or schema mismatch.
 ResultBatch from_json(const std::string& text);
+
+// The results.v1 `measurement` object on its own, shared by to_json and the
+// trend store's per-benchmark records.  `indent` is the indentation of the
+// line the object starts on: non-empty pretty-prints one field per line
+// below it, empty writes the whole object on one line.
+void append_measurement_json(std::string& out, const Measurement& m,
+                             const std::string& indent);
+
+struct JsonValue;  // src/report/json.h
+
+// Parses one results[] entry, or any object with some of its fields (the
+// trend store's records).  Throws std::invalid_argument on wrong types.
+RunResult result_from_json(const JsonValue& entry);
 
 // CSV with header `name,category,status,wall_ms,metric,value,unit,error`:
 // one row per metric, one row (blank metric/value/unit) for results

@@ -5,9 +5,7 @@
 
 #include "src/core/env.h"
 #include "src/core/suite_runner.h"
-#include "src/db/baseline_store.h"
 #include "src/db/cal_store.h"
-#include "src/db/result_set.h"
 #include "src/db/trend_store.h"
 #include "src/obs/run_env.h"
 #include "src/report/trace_io.h"
@@ -16,6 +14,11 @@
 namespace lmb::svc {
 
 RunRequest RunRequest::from_options(const Options& opts) {
+  // Options keeps unknown keys, so a removed flag must fail loudly rather
+  // than silently write nothing.
+  if (opts.has("out")) {
+    throw UsageError("--out was removed; write results with --json=PATH (lmbenchpp.results.v1)");
+  }
   RunRequest req;
   req.category = opts.get_string("category", "");
   req.names = opts.get_list("only");
@@ -37,7 +40,6 @@ RunRequest RunRequest::from_options(const Options& opts) {
   req.trace_chrome_path = opts.get_string("trace-chrome", "");
   req.collect_trace = !req.trace_path.empty() || !req.trace_chrome_path.empty();
 
-  req.out_path = opts.get_string("out", "");
   req.json_path = opts.get_string("json", "");
   req.csv_path = opts.get_string("csv", "");
 
@@ -78,20 +80,22 @@ namespace {
 void compare_against_baseline(const RunRequest& request, RunArtifacts& artifacts) {
   const std::string& baseline_path = request.baseline_path;
   // An existing regular file is an explicit results JSON; anything else
-  // (existing directory, or a path not there yet) is a baseline store —
-  // the first gated CI run must be able to create it.
+  // (existing directory, or a path not there yet) is a trend store — the
+  // first gated CI run must be able to create it.
   bool is_dir = !std::filesystem::is_regular_file(baseline_path);
+  db::TrendStore store(baseline_path);
 
   std::optional<report::ResultBatch> base;
   if (is_dir) {
-    base = db::BaselineStore(baseline_path).load_latest();
+    base = store.latest(artifacts.batch.system);
   } else {
-    base = db::BaselineStore::load(baseline_path);  // throws if bad
+    base = report::from_json(sys::read_file(baseline_path));  // throws if bad
   }
   if (!base.has_value()) {
-    // Empty store: this run becomes the baseline; nothing to gate yet.
+    // No run for this host yet: this run becomes the baseline; nothing to
+    // gate yet.
     artifacts.baseline_established = true;
-    artifacts.baseline_saved_path = db::BaselineStore(baseline_path).save(artifacts.batch);
+    artifacts.baseline_seq = store.append(artifacts.batch);
     return;
   }
 
@@ -107,7 +111,7 @@ void compare_against_baseline(const RunRequest& request, RunArtifacts& artifacts
     sys::write_file(request.compare_json_path, report::compare_to_json(*artifacts.compare));
   }
   if (is_dir && request.save_baseline) {
-    artifacts.baseline_saved_path = db::BaselineStore(baseline_path).save(artifacts.batch);
+    artifacts.baseline_seq = store.append(artifacts.batch);
   }
   artifacts.gate_failed = request.gate && artifacts.compare->has_regressions();
 }
@@ -283,20 +287,6 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   }
 
   // Requested output files.
-  if (!request.out_path.empty()) {
-    db::ResultSet set(info.label());
-    for (const RunResult& r : artifacts.batch.results) {
-      if (!r.ok()) {
-        continue;
-      }
-      for (const Metric& m : r.metrics) {
-        set.set(r.name + "_" + m.key, m.value);
-      }
-    }
-    db::ResultDatabase database;
-    database.add(set);
-    database.save(request.out_path);
-  }
   if (!request.json_path.empty()) {
     sys::write_file(request.json_path, report::to_json(artifacts.batch));
   }
@@ -320,7 +310,10 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   }
 
   if (!request.trend_dir.empty()) {
-    artifacts.trend_seq = db::TrendStore(request.trend_dir).append(artifacts.batch);
+    // A baseline directory is a trend store too: never record a run twice.
+    bool saved_here = request.trend_dir == request.baseline_path && artifacts.baseline_seq >= 0;
+    artifacts.trend_seq = saved_here ? artifacts.baseline_seq
+                                     : db::TrendStore(request.trend_dir).append(artifacts.batch);
   }
 
   {

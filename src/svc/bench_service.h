@@ -76,18 +76,18 @@ struct RunRequest {
   std::string trace_chrome_path;  // bare-array Chrome trace_event ("" = skip)
 
   // Output files ("" = skip each).
-  std::string out_path;   // paper-style text database
   std::string json_path;  // lmbenchpp.results.v1
   std::string csv_path;
 
-  // Baseline comparison / regression gate ("" = no comparison).
+  // Baseline comparison / regression gate ("" = no comparison): a
+  // results.v1 file, or a trend store (its newest run for this host).
   std::string baseline_path;
   bool gate = false;
   // Significance floor in percent when --gate carried a value; nullopt
   // keeps the compare default.
   std::optional<double> gate_floor_pct;
   double assume_noise_pct = 0.0;
-  bool save_baseline = false;
+  bool save_baseline = false;  // append this run to a baseline directory
   std::string compare_json_path;  // lmbenchpp.compare.v1 ("" = skip)
 
   // Time-series trend store directory ("" = no append).  Every completed
@@ -95,12 +95,13 @@ struct RunRequest {
   std::string trend_dir;
 
   // Builds a request from parsed command-line options, using exactly
-  // run_suite's flag names (--category, --only, --jobs, --timeout, --out,
-  // --json, --csv, --trace, --trace-chrome, --counters, --clock,
-  // --nanoscale, --cal-cache, --no-cal-cache, --baseline, --gate,
-  // --assume-noise, --save-baseline, --compare-json, --trend-store).  The full option set is also retained
-  // as bench_options so benchmark-level flags flow through.  Throws
-  // UsageError / std::invalid_argument on malformed values.
+  // run_suite's flag names (--category, --only, --jobs, --timeout, --json,
+  // --csv, --trace, --trace-chrome, --counters, --clock, --nanoscale,
+  // --cal-cache, --no-cal-cache, --baseline, --gate, --assume-noise,
+  // --save-baseline, --compare-json, --trend-store).  The full option set
+  // is also retained as bench_options so benchmark-level flags flow
+  // through.  Throws UsageError / std::invalid_argument on malformed
+  // values, and UsageError for the removed --out (use --json=PATH).
   static RunRequest from_options(const Options& opts);
 };
 
@@ -155,8 +156,8 @@ struct RunArtifacts {
 
   // Baseline comparison (only when RunRequest::baseline_path was set).
   std::optional<report::CompareReport> compare;
-  bool baseline_established = false;  // empty store: this run became the baseline
-  std::string baseline_saved_path;    // non-empty when a baseline entry was written
+  bool baseline_established = false;  // no run for this host yet: this run became the baseline
+  long baseline_seq = -1;  // trend-store sequence number when this run was saved as a baseline
   bool gate_failed = false;
 
   // Trend store append (only when RunRequest::trend_dir was set).

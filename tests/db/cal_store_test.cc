@@ -1,12 +1,11 @@
-// Persistence of the calibration cache through the results database:
-// round-trips, host-signature invalidation, and coexistence with real
-// benchmark result sets in the same file.
+// Persistence of the calibration cache as a lmbenchpp.calcache.v1 document:
+// round-trips, host-signature invalidation, and per-entry validation of
+// hand-edited or corrupt files.
 #include "src/db/cal_store.h"
 
 #include <gtest/gtest.h>
 
 #include "src/core/cal_cache.h"
-#include "src/db/result_set.h"
 #include "src/sys/fdio.h"
 #include "src/sys/temp.h"
 
@@ -54,35 +53,48 @@ TEST(CalStoreTest, HostSignatureMismatchLoadsNothing) {
   EXPECT_FALSE(loaded.expected_wall_ms("bw_mem").has_value());
 }
 
-TEST(CalStoreTest, MissingOrMalformedFileMeansColdCache) {
+TEST(CalStoreTest, MissingMalformedOrForeignFileMeansColdCache) {
   sys::TempDir dir("lmb_cal");
+  const std::string path = dir.file("cal.db");
   CalibrationCache loaded;
-  EXPECT_EQ(load_calibration_cache(dir.file("absent.db"), "hostA", loaded), 0u);
-
-  const std::string garbled = dir.file("garbled.db");
-  sys::write_file(garbled, "this is [not a results database\n");
-  EXPECT_EQ(load_calibration_cache(garbled, "hostA", loaded), 0u);
+  EXPECT_EQ(load_calibration_cache(path, "hostA", loaded), 0u);
+  // Truncated JSON, the line-text format earlier versions wrote (cold once,
+  // replaced by the next save), another schema, a document that is no
+  // object.
+  for (const char* text : {
+           "{\"schema\": \"lmbenchpp.calcache.v1\", \"host\": \"hos",
+           "[calibration:hostA]\nit:lat_syscall#0@10000000 1000000\n",
+           "{\"schema\": \"lmbenchpp.results.v1\", \"host\": \"hostA\", \"wall_ms\": {\"b\": 1}}",
+           "[1, 2, 3]"}) {
+    sys::write_file(path, text);
+    EXPECT_EQ(load_calibration_cache(path, "hostA", loaded), 0u) << text;
+  }
   EXPECT_EQ(loaded.size(), 0u);
 }
 
-TEST(CalStoreTest, PreservesOtherResultSetsInTheFile) {
+// Values the uint64_t / double conversions are not defined or not sensible
+// for skip their own entry and nothing else.
+TEST(CalStoreTest, InvalidValuesSkipOnlyTheirEntry) {
   sys::TempDir dir("lmb_cal");
-  const std::string path = dir.file("shared.db");
-  ResultDatabase database;
-  ResultSet results("Linux/x86_64");
-  results.set("lat_pipe_us", 12.5);
-  database.add(results);
-  database.save(path);
-
-  CalibrationCache cache;
-  fill_sample(cache);
-  save_calibration_cache(path, "hostA", cache);
-
-  ResultDatabase reread = ResultDatabase::load(path);
-  ASSERT_NE(reread.find("Linux/x86_64"), nullptr);
-  EXPECT_DOUBLE_EQ(*reread.find("Linux/x86_64")->get("lat_pipe_us"), 12.5);
+  const std::string path = dir.file("cal.db");
+  sys::write_file(path,
+                  "{\"schema\": \"lmbenchpp.calcache.v1\", \"host\": \"hostA\",\n"
+                  " \"iterations\": {\"good#0@10000000\": 4096,\n"
+                  "                  \"negative#0@10000000\": -5,\n"
+                  "                  \"null#0@10000000\": null,\n"
+                  "                  \"huge#0@10000000\": 1e30,\n"
+                  "                  \"string#0@10000000\": \"12\",\n"
+                  "                  \"zero#0@10000000\": 0,\n"
+                  "                  \"no_interval\": 7},\n"
+                  " \"wall_ms\": {\"negative\": -1, \"null\": null, \"string\": \"3\"}}\n");
   CalibrationCache loaded;
-  EXPECT_EQ(load_calibration_cache(path, "hostA", loaded), 4u);
+  EXPECT_EQ(load_calibration_cache(path, "hostA", loaded), 1u);
+  EXPECT_EQ(loaded.size(), 1u);
+  auto entry = loaded.find("good#0@10000000");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->iterations, 4096u);
+  EXPECT_EQ(entry->min_interval, 10 * kMillisecond);
+  EXPECT_TRUE(loaded.wall_ms().empty());
 }
 
 TEST(CalStoreTest, ResaveReplacesTheCalibrationSet) {

@@ -3,10 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
-#include "src/db/baseline_store.h"
 #include "src/sys/fdio.h"
 #include "src/sys/temp.h"
 
@@ -111,8 +112,10 @@ TEST_F(TrendStoreTest, TornTailIsSkippedNotFatal) {
   ASSERT_EQ(series.size(), 1u);
   EXPECT_EQ(series[0].points.size(), 2u);  // torn point dropped
   EXPECT_EQ(store.runs(host).size(), 2u);
-  // The next append must advance past the highest *valid* sequence.
+  // The next append must advance past the highest *valid* sequence, on a
+  // line of its own rather than merged into the torn tail.
   EXPECT_EQ(store.append(make_batch("host", 12.0)), 3);
+  EXPECT_EQ(store.runs(host).size(), 3u);
 }
 
 TEST_F(TrendStoreTest, NonOkResultsAreNotRecorded) {
@@ -159,19 +162,64 @@ TEST_F(TrendStoreTest, CompactKeepsNewestRuns) {
   EXPECT_EQ(store.append(make_batch("host", 7.0)), 7);
 }
 
-TEST_F(TrendStoreTest, ImportsBaselineStoreHistory) {
+TEST_F(TrendStoreTest, ImportsBaselineDirectoryHistory) {
   std::string baselines = tmp_.path() + "/baselines";
-  BaselineStore old_store(baselines);
-  old_store.save(make_batch("host", 10.0));
-  old_store.save(make_batch("host", 11.0));
+  fs::create_directories(baselines);
+  sys::write_file(baselines + "/baseline-000002.json", report::to_json(make_batch("host", 11.0)));
+  sys::write_file(baselines + "/baseline-000001.json", report::to_json(make_batch("host", 10.0)));
   std::ofstream(baselines + "/baseline-000003.json") << "{ corrupt";  // skipped
+  std::ofstream(baselines + "/notes.json") << "{}";                   // not an entry
 
   TrendStore store(dir());
   EXPECT_EQ(store.import_baselines(baselines), 2u);
   std::vector<TrendSeries> series = store.series(store.hosts()[0], "lat_pipe");
   ASSERT_EQ(series.size(), 1u);
   ASSERT_EQ(series[0].points.size(), 2u);
-  EXPECT_DOUBLE_EQ(series[0].points[0].value, 10.0);
+  EXPECT_DOUBLE_EQ(series[0].points[0].value, 10.0);  // oldest entry first
+  EXPECT_DOUBLE_EQ(series[0].points[1].value, 11.0);
+}
+
+// The lat_pipe value `latest` reports, or NaN when there is no such run.
+double latest_lat(const TrendStore& store, const std::string& system) {
+  std::optional<report::ResultBatch> batch = store.latest(system);
+  return batch.has_value() ? batch->results.at(0).metrics.at(0).value : std::nan("");
+}
+
+TEST_F(TrendStoreTest, LatestIsTheNewestRunOfThatHostOnly) {
+  TrendStore store(dir());
+  EXPECT_FALSE(store.latest("box a").has_value());
+  // "box a" and "box-a" share a shard but are different hosts.
+  store.append(make_batch("box a", 10.0));
+  store.append(make_batch("box a", 11.0));
+  store.append(make_batch("box-a", 99.0));
+  ASSERT_EQ(store.hosts().size(), 1u);
+
+  std::optional<report::ResultBatch> latest = store.latest("box a");
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->system, "box a");
+  ASSERT_EQ(latest->results.size(), 1u);
+  EXPECT_EQ(latest->results[0].name, "lat_pipe");
+  EXPECT_FALSE(latest->results[0].measurement.has_value());  // none was stored
+  EXPECT_DOUBLE_EQ(latest_lat(store, "box a"), 11.0);
+  EXPECT_DOUBLE_EQ(latest_lat(store, "box-a"), 99.0);
+  EXPECT_FALSE(store.latest("gamma").has_value());
+}
+
+// A crashed third append: its benchmark line landed, its run-log line tore.
+// The torn run is not the baseline, and the next append, which reuses its
+// sequence number, wins over the stale benchmark line.
+TEST_F(TrendStoreTest, LatestSkipsATornRunAndPrefersTheLaterOfTwoSequenceLines) {
+  TrendStore store(dir());
+  store.append(make_batch("host", 10.0));
+  store.append(make_batch("host", 11.0));
+  std::string shard = dir() + "/" + store.hosts()[0];
+  std::ofstream(shard + "/lat_pipe.jsonl", std::ios::app)
+      << "{\"seq\":3,\"metrics\":[{\"key\":\"us\",\"value\":77,\"unit\":\"us\"}]}\n";
+  std::ofstream(shard + "/runs.jsonl", std::ios::app) << "{\"seq\":3,\"sys";
+  EXPECT_DOUBLE_EQ(latest_lat(store, "host"), 11.0);
+
+  EXPECT_EQ(store.append(make_batch("host", 12.0)), 3);
+  EXPECT_DOUBLE_EQ(latest_lat(store, "host"), 12.0);
 }
 
 }  // namespace

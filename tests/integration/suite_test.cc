@@ -6,9 +6,11 @@
 #include "src/core/options.h"
 #include "src/core/registry.h"
 #include "src/core/suite_runner.h"
-#include "src/db/baseline_store.h"
+#include "src/db/trend_store.h"
+#include "src/obs/run_env.h"
 #include "src/report/compare.h"
 #include "src/report/serialize.h"
+#include "src/report/summary.h"
 #include "src/sys/temp.h"
 
 namespace lmb {
@@ -49,6 +51,12 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SuiteTest, ::testing::ValuesIn(all_bench
                            return info.param;
                          });
 
+TEST(SuiteInventoryTest, SummaryBenchmarksAreRegistered) {
+  for (const std::string& name : report::summary_benchmarks()) {
+    EXPECT_NE(Registry::global().find(name), nullptr) << name;
+  }
+}
+
 TEST(SuiteInventoryTest, CoversEveryPaperSection) {
   Registry& reg = Registry::global();
   EXPECT_GE(reg.list("bandwidth").size(), 6u);  // §5
@@ -74,7 +82,8 @@ TEST(SuiteRunnerIntegrationTest, QuickLatencySubsetYieldsRealMetricValues) {
 }
 
 // The regression-gate pipeline end to end: run a real subset, persist it
-// through the baseline store, rerun, and compare.  The self-compare must
+// in the trend store, rerun, and compare.  The baseline read back must
+// compare exactly like the batch that was stored; the self-compare must
 // pass the generous in-test gate while a synthetically degraded copy of
 // the same batch must trip it — the noise calibration run_suite
 // --baseline --gate relies on, minus the process boundary.
@@ -83,16 +92,30 @@ TEST(SuiteRunnerIntegrationTest, BaselineCompareGateSelfConsistent) {
   config.names = {"lat_getpid", "lat_syscall"};
   config.options = Options::from_pairs({{"quick", "true"}});
   SuiteRunner runner;
-  report::ResultBatch first{"test-host", runner.run(config), {}};
-  report::ResultBatch second{"test-host", runner.run(config), {}};
+  report::ResultBatch first{"test-host", runner.run(config), {}, obs::capture_run_environment()};
+  report::ResultBatch second{"test-host", runner.run(config), {}, obs::capture_run_environment()};
   ASSERT_EQ(first.results.size(), 2u);
   ASSERT_EQ(second.results.size(), 2u);
+  // A clock switch and a config change on one side, so the clock-mismatch
+  // and environment lists have content.
+  ASSERT_TRUE(second.results[0].measurement.has_value());
+  second.results[0].measurement->clock_source = "sundial";
+  second.environment->governor = "test-governor";
 
   sys::TempDir tmp("lmb_gate");
-  db::BaselineStore store(tmp.path() + "/baselines");
-  store.save(first);
-  std::optional<report::ResultBatch> baseline = store.load_latest();
+  db::TrendStore store(tmp.path() + "/trends");
+  store.append(first);
+  std::optional<report::ResultBatch> baseline = store.latest("test-host");
   ASSERT_TRUE(baseline.has_value());
+
+  // The compare document carries every delta's key, values, noise_rel,
+  // threshold_rel and class, the environment deltas and the clock
+  // mismatches, all with round-trip-exact numbers.
+  report::CompareReport direct = report::compare_batches(first, second);
+  ASSERT_FALSE(direct.env_deltas.empty());
+  ASSERT_FALSE(direct.clock_mismatches.empty());
+  EXPECT_EQ(report::compare_to_json(report::compare_batches(*baseline, second)),
+            report::compare_to_json(direct));
 
   // Syscall latencies on a shared test machine scatter well past the
   // default 5% floor; a gate meant for back-to-back runs needs slack.

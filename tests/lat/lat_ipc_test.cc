@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 namespace lmb::lat {
 namespace {
 
@@ -37,12 +40,17 @@ TEST(LatIpcTest, PipeIsCheaperThanTcp) {
   EXPECT_LT(pipe_us, tcp_us * 1.5);
 }
 
+// A fixed three alternating runs per side, minima compared (§3.4).
 TEST(LatIpcTest, LargerMessagesCostMore) {
   IpcLatConfig small = quick();
   IpcLatConfig big = quick();
   big.message_bytes = 16384;
-  double s = measure_pipe_latency(small).us_per_op();
-  double b = measure_pipe_latency(big).us_per_op();
+  double s = std::numeric_limits<double>::infinity();
+  double b = s;
+  for (int i = 0; i < 3; ++i) {
+    s = std::min(s, measure_pipe_latency(small).us_per_op());
+    b = std::min(b, measure_pipe_latency(big).us_per_op());
+  }
   EXPECT_GT(b, s);
 }
 

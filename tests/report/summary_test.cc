@@ -2,57 +2,74 @@
 
 #include <gtest/gtest.h>
 
-#include "src/db/metrics.h"
+#include <limits>
 
 namespace lmb::report {
 namespace {
 
-db::ResultSet fake_system(const std::string& name, double scale) {
-  db::ResultSet set(name);
-  for (const auto& m : db::standard_metrics()) {
-    set.set(m.key, 10.0 * scale);
-  }
-  return set;
+// One latency row (lat_pipe, us) and one bandwidth row (bw_pipe, MB/s).
+ResultBatch batch(const std::string& system, double lat_us, double bw_mbs) {
+  ResultBatch b{system,
+                {RunResult{}.add("us", lat_us, "us"), RunResult{}.add("mbs", bw_mbs, "MB/s")}, {}, {}};
+  b.results[0].name = "lat_pipe";
+  b.results[1].name = "bw_pipe";
+  return b;
 }
 
-TEST(SummaryTest, EmptyDatabase) {
-  db::ResultDatabase database;
-  EXPECT_EQ(render_summary(database), "(no result sets)\n");
+// The rendered line of the row whose label starts with `label`.
+std::string row_line(const std::string& summary, const std::string& label) {
+  size_t at = summary.find("  " + label);
+  return at == std::string::npos ? "" : summary.substr(at, summary.find('\n', at) - at);
 }
 
-TEST(SummaryTest, SingleSystemShowsAllSections) {
-  db::ResultDatabase database;
-  database.add(fake_system("sysA", 1.0));
-  std::string out = render_summary(database);
+TEST(SummaryTest, NoBatches) { EXPECT_EQ(render_summary({}), "(no result batches)\n"); }
+
+TEST(SummaryTest, SingleBatchShowsAllSections) {
+  std::string out = render_summary({batch("sysA", 5.25, 900.0)});
   EXPECT_NE(out.find("Processor and system calls"), std::string::npos);
   EXPECT_NE(out.find("Context switching and IPC latencies"), std::string::npos);
   EXPECT_NE(out.find("Bandwidths"), std::string::npos);
   EXPECT_NE(out.find("Memory hierarchy, file and VM latencies"), std::string::npos);
   EXPECT_NE(out.find("sysA"), std::string::npos);
-  // Single system: no best markers.
-  EXPECT_EQ(out.find("best system per row"), std::string::npos);
+  EXPECT_NE(row_line(out, "Pipe RTT (us)").find("5.25"), std::string::npos);
+  // Rows no batch measured render dashes; one run marks nothing.
+  EXPECT_NE(row_line(out, "Null syscall (us)").find("--"), std::string::npos);
+  EXPECT_EQ(out.find('*'), std::string::npos);
+  EXPECT_EQ(out.find("best run per row"), std::string::npos);
 }
 
-TEST(SummaryTest, TwoSystemsMarkBestPerDirection) {
-  db::ResultDatabase database;
-  database.add(fake_system("fast", 1.0));
-  database.add(fake_system("slow", 2.0));
-  std::string out = render_summary(database);
-  EXPECT_NE(out.find("best system per row"), std::string::npos);
-  // The latency rows (lower better) mark the 10 value; bandwidth rows mark
-  // the 20 value: both "10*" and "20*" must appear.
-  EXPECT_NE(out.find("10*"), std::string::npos);
-  EXPECT_NE(out.find("20*"), std::string::npos);
+TEST(SummaryTest, TwoBatchesMarkBestInEachUnitsDirection) {
+  // "fast" wins the latency row with the lower value and "slow" the
+  // bandwidth row with the higher one.
+  std::string out = render_summary({batch("fast", 10.5, 100.5), batch("slow", 20.5, 200.5)});
+  EXPECT_LT(out.find("fast"), out.find("slow"));  // columns in batch order
+  EXPECT_NE(out.find("best run per row"), std::string::npos);
+  std::string lat = row_line(out, "Pipe RTT (us)");
+  EXPECT_NE(lat.find("10.5*"), std::string::npos) << lat;
+  EXPECT_EQ(lat.find("20.5*"), std::string::npos) << lat;
+  std::string bw = row_line(out, "Pipe (MB/s)");
+  EXPECT_NE(bw.find("200.5*"), std::string::npos) << bw;
+  EXPECT_EQ(bw.find("100.5*"), std::string::npos) << bw;
 }
 
-TEST(SummaryTest, MissingMetricsRenderDashes) {
-  db::ResultDatabase database;
-  db::ResultSet sparse("sparse");
-  sparse.set("lat_pipe_us", 5.0);
-  database.add(sparse);
-  std::string out = render_summary(database);
-  EXPECT_NE(out.find("--"), std::string::npos);
-  EXPECT_NE(out.find("5"), std::string::npos);
+TEST(SummaryTest, NullMetricRendersDashesAndIsNeverBest) {
+  ResultBatch missing = batch("missing", std::numeric_limits<double>::quiet_NaN(), 100.0);
+  std::string out = render_summary({missing, batch("real", 30.0, 100.0)});
+  std::string lat = row_line(out, "Pipe RTT (us)");
+  EXPECT_NE(lat.find("--"), std::string::npos) << lat;
+  EXPECT_EQ(lat.find("--*"), std::string::npos) << lat;
+  // One value left: nothing to compare it with, so no marker either.
+  EXPECT_EQ(lat.find('*'), std::string::npos) << lat;
+}
+
+TEST(SummaryTest, NonOkResultContributesNothing) {
+  ResultBatch failed = batch("failed", 1.25, 100.0);
+  failed.results[0].status = RunStatus::kError;
+  std::string out = render_summary({failed, batch("ok", 30.5, 100.0)});
+  std::string lat = row_line(out, "Pipe RTT (us)");
+  EXPECT_EQ(lat.find("1.25"), std::string::npos) << lat;
+  EXPECT_NE(lat.find("--"), std::string::npos) << lat;
+  EXPECT_NE(lat.find("30.5"), std::string::npos) << lat;
 }
 
 }  // namespace

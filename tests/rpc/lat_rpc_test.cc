@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 namespace lmb::rpc {
 namespace {
 
@@ -16,12 +19,17 @@ TEST(LatRpcTest, UdpRpcRoundTripIsMeasurable) {
   EXPECT_GT(m.us_per_op(), 1.0);
 }
 
+// A fixed three alternating runs per side, minima compared (§3.4).
 TEST(LatRpcTest, BiggerPayloadsCostMore) {
   RpcLatConfig small = RpcLatConfig::quick();
   RpcLatConfig big = RpcLatConfig::quick();
   big.message_bytes = 16384;
-  double s = measure_rpc_tcp_latency(small).us_per_op();
-  double b = measure_rpc_tcp_latency(big).us_per_op();
+  double s = std::numeric_limits<double>::infinity();
+  double b = s;
+  for (int i = 0; i < 3; ++i) {
+    s = std::min(s, measure_rpc_tcp_latency(small).us_per_op());
+    b = std::min(b, measure_rpc_tcp_latency(big).us_per_op());
+  }
   EXPECT_GT(b, s);
 }
 

@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/core/env.h"
 #include "src/core/timing.h"
+#include "src/db/cal_store.h"
 #include "src/db/trend_store.h"
 #include "src/sys/temp.h"
 
@@ -135,11 +139,17 @@ TEST_F(BenchServiceTest, WritesRequestedOutputFiles) {
   RunRequest req = base_request();
   req.json_path = tmp_.path() + "/r.json";
   req.csv_path = tmp_.path() + "/r.csv";
-  req.out_path = tmp_.path() + "/r.db";
   service.run(req);
   EXPECT_TRUE(fs::exists(req.json_path));
   EXPECT_TRUE(fs::exists(req.csv_path));
-  EXPECT_TRUE(fs::exists(req.out_path));
+  // The removed text-database flag is an error naming its replacement, not
+  // a silent no-op.
+  try {
+    RunRequest::from_options(Options::from_pairs({{"out", tmp_.path() + "/r.db"}}));
+    ADD_FAILURE() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--json=PATH"), std::string::npos) << e.what();
+  }
 }
 
 TEST_F(BenchServiceTest, EstablishesBaselineThenGates) {
@@ -151,7 +161,8 @@ TEST_F(BenchServiceTest, EstablishesBaselineThenGates) {
     req.baseline_path = store;
     RunArtifacts first = service.run(req);
     EXPECT_TRUE(first.baseline_established);
-    EXPECT_FALSE(first.baseline_saved_path.empty());
+    EXPECT_EQ(first.baseline_seq, 1);
+    EXPECT_TRUE(db::TrendStore(store).latest(first.batch.system).has_value());
     EXPECT_EQ(first.exit_code(), 0);
   }
   {
@@ -166,6 +177,18 @@ TEST_F(BenchServiceTest, EstablishesBaselineThenGates) {
     EXPECT_TRUE(second.gate_failed);
     EXPECT_EQ(second.exit_code(), 3);
   }
+}
+
+TEST_F(BenchServiceTest, BaselineDirectoryThatIsAlsoTheTrendStoreRecordsEachRunOnce) {
+  Registry registry = make_registry();
+  BenchService service(registry);
+  RunRequest req = base_request();
+  req.trend_dir = req.baseline_path = tmp_.path() + "/trends";
+  req.save_baseline = true;
+  EXPECT_EQ(service.run(req).trend_seq, 1);  // establishes the baseline
+  EXPECT_EQ(service.run(req).trend_seq, 2);  // compares, then saves
+  db::TrendStore store(req.trend_dir);
+  EXPECT_EQ(store.runs(store.hosts()[0]).size(), 2u);
 }
 
 TEST_F(BenchServiceTest, AppendsToTrendStore) {
@@ -333,6 +356,36 @@ TEST_F(BenchServiceTest, NanoscaleTraceCarriesTheSelectedClock) {
     EXPECT_TRUE(r.measurement->nanoscale) << r.name;
     EXPECT_GE(r.measurement->interval_overhead_ns, 0) << r.name;
   }
+}
+
+// Two fresh services on one cal-cache path: the second can only be warm by
+// reading the file the first wrote.
+TEST_F(BenchServiceTest, CalibrationCachePersistsAcrossServices) {
+  // One iteration outlasts the quick policy's 1 ms interval, so the cached
+  // count revalidates every time: warm hits do not depend on timing luck.
+  Registry registry;
+  registry.add(BenchmarkInfo{
+      .name = "fake_sleepy",
+      .category = "latency",
+      .description = "sleeps 2 ms per iteration",
+      .run = [](const Options&) {
+        return RunResult{}.with(measure(
+            [](std::uint64_t n) { std::this_thread::sleep_for(std::chrono::milliseconds(2 * n)); },
+            TimingPolicy::quick()));
+      },
+  });
+  RunRequest req;
+  req.names = {"fake_sleepy"};
+  req.cal_cache_path = tmp_.path() + "/cal.db";
+  RunArtifacts cold = BenchService(registry).run(req);
+  EXPECT_FALSE(cold.cal_warm);
+  EXPECT_EQ(cold.cal_hits, 0);
+  EXPECT_TRUE(cold.cal_save_error.empty()) << cold.cal_save_error;
+  CalibrationCache reread;  // loads only a calcache.v1 file for this host
+  EXPECT_GT(db::load_calibration_cache(req.cal_cache_path, host_signature(), reread), 0u);
+  RunArtifacts warm = BenchService(registry).run(req);
+  EXPECT_TRUE(warm.cal_warm);
+  EXPECT_GT(warm.cal_hits, 0);
 }
 
 TEST_F(BenchServiceTest, TscFallbackWarningIsExplicit) {

@@ -272,6 +272,17 @@ TEST_F(DaemonTest, UnknownBenchmarkSubmissionFailsWithUsageExitCode) {
   daemon.stop();
 }
 
+TEST_F(DaemonTest, RemovedOutFlagSubmissionFailsWithUsageExitCode) {
+  Daemon daemon(config());
+  daemon.start();
+  Client client(daemon.socket_path());
+  JsonValue done = client.submit({{"only", "fake_lat"}, {"out", "r.db"}});
+  const report::JsonObject& obj = done.object();
+  EXPECT_EQ(static_cast<int>(find(obj, "exit_code")->number()), 2);
+  EXPECT_NE(find(obj, "error")->str().find("--json=PATH"), std::string::npos);
+  daemon.stop();
+}
+
 TEST_F(DaemonTest, ShutdownOpStopsTheDaemon) {
   Daemon daemon(config());
   daemon.start();
