@@ -11,7 +11,7 @@
 //   ./build/examples/run_suite [--quick] [--category=latency] [--jobs=N]
 //                              [--only=bench1,bench2] [--timeout=SECONDS]
 //                              [--json=results.json] [--csv=results.csv]
-//                              [--trace=trace.json] [--trace-chrome=PATH]
+//                              [--trace=trace.json]
 //                              [--counters] [--clock=auto|tsc|wall]
 //                              [--nanoscale]
 //                              [--cal-cache=PATH] [--no-cal-cache]
@@ -46,8 +46,6 @@
 //                ui.perfetto.dev): calibration probes, warm-up, every timed
 //                repetition, early-stop triggers, cal-cache hits/misses,
 //                scheduler placement under --jobs
-//   --trace-chrome=PATH  same events as the classic bare-array Chrome
-//                trace_event format
 //   --counters   sample hardware perf counters (instructions, cycles,
 //                cache refs/misses, context switches) around every timed
 //                interval; measurements gain ipc and cache_miss_pct
@@ -211,14 +209,9 @@ int main(int argc, char** argv) try {
   if (!request.csv_path.empty()) {
     std::printf("wrote CSV to %s\n", request.csv_path.c_str());
   }
-  if (request.collect_trace) {
-    if (!request.trace_path.empty()) {
-      std::printf("wrote %zu trace events to %s (open in about:tracing / perfetto)\n",
-                  artifacts.trace_events.size(), request.trace_path.c_str());
-    }
-    if (!request.trace_chrome_path.empty()) {
-      std::printf("wrote Chrome trace_event file to %s\n", request.trace_chrome_path.c_str());
-    }
+  if (!request.trace_path.empty()) {
+    std::printf("wrote %zu trace events to %s (open in about:tracing / perfetto)\n",
+                artifacts.trace_events.size(), request.trace_path.c_str());
   }
 
   // Scaling table + plot for any result that produced <op>_p<N>_mbs metrics

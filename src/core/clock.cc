@@ -3,48 +3,9 @@
 #include <time.h>
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <vector>
 
 namespace lmb {
-
-namespace {
-
-// Seeds installed by seed_clock_overhead before the per-source memoization
-// fires.  Guarded: bench_service seeds from the calibration cache on one
-// thread while suite workers may race to the first overhead_ns() call.
-std::mutex seed_mu;
-std::map<std::string, Nanos>& seed_map() {
-  static std::map<std::string, Nanos> seeds;
-  return seeds;
-}
-
-}  // namespace
-
-void seed_clock_overhead(const std::string& source, Nanos overhead) {
-  if (overhead < 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(seed_mu);
-  seed_map()[source] = overhead;
-}
-
-std::optional<Nanos> seeded_clock_overhead(const std::string& source) {
-  std::lock_guard<std::mutex> lock(seed_mu);
-  auto it = seed_map().find(source);
-  if (it == seed_map().end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-std::string clock_overhead_cache_key(const std::string& source) {
-  // The '@1' suffix follows the cache key structure (src/core/cal_cache.h):
-  // persistence loads an entry only when the min_interval after the final
-  // '@' is positive.
-  return "__clock_overhead__#" + source + "@1";
-}
 
 Nanos WallClock::now() const {
   struct timespec ts;
@@ -74,14 +35,8 @@ Nanos measure_clock_overhead_robust(const Clock& clock, int samples, int rounds)
 }
 
 Nanos WallClock::overhead_ns() const {
-  // One probe per process; all WallClock instances are interchangeable.  A
-  // persisted seed (calibration cache) short-circuits the probe entirely.
-  static const Nanos overhead = [] {
-    if (std::optional<Nanos> seeded = seeded_clock_overhead("wall"); seeded.has_value()) {
-      return *seeded;
-    }
-    return measure_clock_overhead_robust(WallClock{});
-  }();
+  // One probe per process; all WallClock instances are interchangeable.
+  static const Nanos overhead = measure_clock_overhead_robust(WallClock{});
   return overhead;
 }
 

@@ -9,7 +9,6 @@
 #define LMBENCHPP_SRC_CORE_CLOCK_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace lmb {
@@ -55,28 +54,14 @@ Nanos measure_clock_overhead(const Clock& clock, int samples = 4096);
 // median across rounds rejects whole-round outliers in both directions.
 Nanos measure_clock_overhead_robust(const Clock& clock, int samples = 2048, int rounds = 5);
 
-// Per-source overhead seeding: a persisted calibration cache (src/db/
-// cal_store.h) can pre-load the measured read overhead for a clock source so
-// nanoscale runs do not re-pay the startup probe.  A seed only takes effect
-// when installed before the first overhead_ns() call of that source (the
-// value is memoized per process); later seeds are ignored.
-void seed_clock_overhead(const std::string& source, Nanos overhead);
-std::optional<Nanos> seeded_clock_overhead(const std::string& source);
-
-// Calibration-cache key under which a clock source's measured overhead is
-// persisted; it follows the `<name>#<seq>@<min_interval_ns>` key structure
-// of src/core/cal_cache.h so the entry survives the round trip.
-std::string clock_overhead_cache_key(const std::string& source);
-
 // The real monotonic wall clock (CLOCK_MONOTONIC).
 class WallClock final : public Clock {
  public:
   Nanos now() const override;
 
   // Measured once per process (robust min-of-N, see
-  // measure_clock_overhead_robust) and memoized — or taken from
-  // seed_clock_overhead("wall", ...) when a persisted value was installed
-  // first; every WallClock instance reports the same value.
+  // measure_clock_overhead_robust) and memoized; every WallClock instance
+  // reports the same value.
   Nanos overhead_ns() const override;
 
   std::string name() const override { return "wall"; }

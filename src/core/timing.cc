@@ -126,7 +126,7 @@ bool effective_nanoscale(const TimingPolicy& policy) {
 // subtracted from each interval, and reported in both the trace and the
 // Measurement (never a silent zero: outside nanoscale mode the field is -1
 // and serializes as null).
-Measurement measure_nanoscale(const BenchBody& body, const TimingPolicy& policy,
+Measurement measure_nanoscale(const BenchFn& fn, const TimingPolicy& policy,
                               const Clock& clock, std::uint64_t iters, bool cached,
                               Observer& ob, Nanos measure_start, Nanos budget_start) {
   // Fresh min-estimate of this clock's read cost, taken at the batch site
@@ -147,9 +147,6 @@ Measurement measure_nanoscale(const BenchBody& body, const TimingPolicy& policy,
   }
 
   const int cap = std::max(policy.repetitions, 1);
-  if (body.setup) {
-    body.setup();  // once for the whole batch; intervals must stay adjacent
-  }
   std::vector<Nanos> stamps(static_cast<size_t>(cap) + 1);
   ob.totals = obs::CounterTotals{};  // the batch owns the totals (drop any probe sample)
   if (pc != nullptr) {
@@ -158,7 +155,7 @@ Measurement measure_nanoscale(const BenchBody& body, const TimingPolicy& policy,
   stamps[0] = clock.now();
   int reps = 0;
   for (int r = 0; r < cap; ++r) {
-    body.run(iters);
+    fn(iters);
     stamps[static_cast<size_t>(r) + 1] = clock.now();
     reps = r + 1;
     if (stamps[static_cast<size_t>(r) + 1] - budget_start > policy.max_total) {
@@ -265,11 +262,7 @@ std::uint64_t calibrate_iterations(const BenchFn& fn, const TimingPolicy& policy
 }
 
 Measurement measure(const BenchFn& fn, const TimingPolicy& policy, const Clock& clock) {
-  return measure(BenchBody{fn, nullptr}, policy, clock);
-}
-
-Measurement measure(const BenchBody& body, const TimingPolicy& policy, const Clock& clock) {
-  if (!body.run) {
+  if (!fn) {
     throw std::invalid_argument("measure: empty benchmark body");
   }
   Observer ob = Observer::resolve();
@@ -279,10 +272,7 @@ Measurement measure(const BenchBody& body, const TimingPolicy& policy, const Clo
   {
     Nanos warmup_start = ob.sink != nullptr ? ob.sink->timestamp() : 0;
     for (int i = 0; i < policy.warmup_runs; ++i) {
-      if (body.setup) {
-        body.setup();
-      }
-      body.run(1);
+      fn(1);
     }
     if (ob.sink != nullptr && policy.warmup_runs > 0) {
       ob.sink->complete("timing", "warmup", warmup_start,
@@ -308,11 +298,8 @@ Measurement measure(const BenchBody& body, const TimingPolicy& policy, const Clo
         entry->iterations > 0 && entry->iterations <= policy.max_iterations) {
       // Validate the remembered count with a single probe; on success that
       // probe is the first repetition, so a warm hit wastes nothing.
-      if (body.setup) {
-        body.setup();
-      }
       Nanos probe_start = ob.sink != nullptr ? ob.sink->timestamp() : 0;
-      Nanos probe = time_interval(body.run, entry->iterations, clock, &ob);
+      Nanos probe = time_interval(fn, entry->iterations, clock, &ob);
       if (ob.sink != nullptr) {
         ob.sink->complete("calibration", "cache_probe", probe_start,
                           {{"iters", u64_str(entry->iterations)},
@@ -343,10 +330,7 @@ Measurement measure(const BenchBody& body, const TimingPolicy& policy, const Clo
   }
 
   if (!cached) {
-    if (body.setup) {
-      body.setup();
-    }
-    Calibration cal = calibrate(body.run, policy, clock, budget_start, ramp_start);
+    Calibration cal = calibrate(fn, policy, clock, budget_start, ramp_start);
     iters = cal.iterations;
     if (cal.probe_elapsed >= policy.min_interval) {
       // The final ramp probe already spans a full interval; keep it as the
@@ -361,7 +345,7 @@ Measurement measure(const BenchBody& body, const TimingPolicy& policy, const Clo
   if (effective_nanoscale(policy)) {
     // The calibration/validation interval above is not back-to-back with the
     // batch, so the batch builds a fresh sample (and fresh counter totals).
-    return measure_nanoscale(body, policy, clock, iters, cached, ob, measure_start,
+    return measure_nanoscale(fn, policy, clock, iters, cached, ob, measure_start,
                              budget_start);
   }
 
@@ -383,11 +367,8 @@ Measurement measure(const BenchBody& body, const TimingPolicy& policy, const Clo
       }
       break;  // out of budget; keep what we have
     }
-    if (body.setup) {
-      body.setup();
-    }
     Nanos rep_start = ob.sink != nullptr ? ob.sink->timestamp() : 0;
-    Nanos elapsed = time_interval(body.run, iters, clock, &ob);
+    Nanos elapsed = time_interval(fn, iters, clock, &ob);
     double ns_per_op = static_cast<double>(elapsed) / static_cast<double>(iters);
     if (ob.sink != nullptr) {
       ob.sink->complete("timing", "rep", rep_start,

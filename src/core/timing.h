@@ -181,13 +181,6 @@ const Clock& selected_clock();
 // The benchmark body: run the measured operation `iters` times.
 using BenchFn = std::function<void(std::uint64_t iters)>;
 
-// Body with explicit per-repetition setup (not timed): `setup()` runs before
-// each timed interval.
-struct BenchBody {
-  BenchFn run;
-  std::function<void()> setup;  // optional
-};
-
 // Outcome of the calibration ramp: the chosen count plus the final probe's
 // (overhead-corrected) duration, so callers can reuse that interval as the
 // first repetition instead of discarding it.
@@ -216,10 +209,6 @@ std::uint64_t calibrate_iterations(const BenchFn& fn, const TimingPolicy& policy
 
 // Measures `fn` under `policy`.  Throws std::invalid_argument if fn is empty.
 Measurement measure(const BenchFn& fn, const TimingPolicy& policy = TimingPolicy::standard(),
-                    const Clock& clock = selected_clock());
-
-// As above with per-repetition untimed setup.
-Measurement measure(const BenchBody& body, const TimingPolicy& policy = TimingPolicy::standard(),
                     const Clock& clock = selected_clock());
 
 // Measures an operation whose cost is too large or stateful to loop inside

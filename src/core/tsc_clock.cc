@@ -190,12 +190,7 @@ Nanos TscClock::now() const { return WallClock::instance().now(); }
 #endif  // LMBPP_HAVE_TSC
 
 Nanos TscClock::overhead_ns() const {
-  static const Nanos overhead = [] {
-    if (std::optional<Nanos> seeded = seeded_clock_overhead("tsc"); seeded.has_value()) {
-      return *seeded;
-    }
-    return measure_clock_overhead_robust(TscClock::instance());
-  }();
+  static const Nanos overhead = measure_clock_overhead_robust(TscClock::instance());
   return overhead;
 }
 

@@ -61,8 +61,7 @@ class TscClock final : public Clock {
   // serialized RDTSCP read.
   Nanos now() const override;
 
-  // Measured robust min-of-N read cost, memoized per process; seeded from
-  // the calibration cache via seed_clock_overhead("tsc", ...) when present.
+  // Measured robust min-of-N read cost, memoized per process.
   Nanos overhead_ns() const override;
 
   std::string name() const override { return "tsc"; }

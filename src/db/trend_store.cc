@@ -54,7 +54,7 @@ long seq_of(const report::JsonValue& line) {
   if (seq == nullptr) {
     throw std::invalid_argument("trend line without seq");
   }
-  return static_cast<long>(seq->number());
+  return report::checked_integer<long>(*seq, "seq");
 }
 
 // Appends one JSONL record.  A torn tail (a crashed writer's partial last
@@ -196,7 +196,7 @@ std::vector<TrendRun> TrendStore::runs(const std::string& host) const {
         run.total_wall_ms = report::number_or_nan(*v);
       }
       if (const report::JsonValue* v = report::find(obj, "results")) {
-        run.results = static_cast<int>(v->number());
+        run.results = report::checked_integer<int>(*v, "results");
       }
       if (const report::JsonValue* v = report::find(obj, "env")) {
         for (const auto& [name, value] : v->object()) {

@@ -246,17 +246,17 @@ Heatmap heatmap_from_json(const std::string& text) {
       if (const JsonValue* x = find(wo, "start_ms")) w.start_ms = x->number();
       if (const JsonValue* x = find(wo, "end_ms")) w.end_ms = x->number();
       if (const JsonValue* x = find(wo, "requests")) {
-        w.requests = static_cast<std::uint64_t>(x->number());
+        w.requests = checked_integer<std::uint64_t>(*x, "requests");
       }
       if (const JsonValue* x = find(wo, "errors")) {
-        w.errors = static_cast<std::uint64_t>(x->number());
+        w.errors = checked_integer<std::uint64_t>(*x, "errors");
       }
       if (const JsonValue* x = find(wo, "rps")) w.rps = x->number();
       if (const JsonValue* x = find(wo, "p50_us")) w.p50_us = x->number();
       if (const JsonValue* x = find(wo, "p99_us")) w.p99_us = x->number();
       if (const JsonValue* x = find(wo, "counts")) {
         for (const JsonValue& c : x->array()) {
-          w.counts.push_back(static_cast<std::uint64_t>(c.number()));
+          w.counts.push_back(checked_integer<std::uint64_t>(c, "counts"));
         }
       }
       map.windows.push_back(std::move(w));

@@ -8,6 +8,8 @@
 #ifndef LMBENCHPP_SRC_REPORT_JSON_H_
 #define LMBENCHPP_SRC_REPORT_JSON_H_
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -68,6 +70,23 @@ const JsonValue* find(const JsonObject& obj, const std::string& key);
 // position parses back as NaN, preserving round trips for values the
 // format itself cannot carry.
 double number_or_nan(const JsonValue& v);
+
+// The number `v` times `scale` (e.g. 1e3 for a microsecond value read into
+// nanoseconds), rounded to the nearest integer, as a T.  Every integer the
+// readers take from a document is a count, an id, a sequence number or a
+// duration, and documents may be hand-edited or corrupt: the value converts
+// only when it is finite, not negative and within T's range.  Anything else
+// throws std::invalid_argument naming `field` (casting it would be
+// undefined behaviour).
+template <typename T>
+T checked_integer(const JsonValue& v, const char* field, double scale = 1.0) {
+  double x = std::round(v.number() * scale);
+  // 2^digits (one past T's maximum) is exact in a double; NaN fails both.
+  if (!(x >= 0 && x < std::ldexp(1.0, std::numeric_limits<T>::digits))) {
+    throw std::invalid_argument(std::string("json: ") + field + " out of range");
+  }
+  return static_cast<T>(x);
+}
 
 // Compact single-line serialization of a parsed value (objects keep the
 // map's key order).  parse_json(to_text(v)) round-trips; non-finite numbers

@@ -98,20 +98,20 @@ Measurement measurement_from_json(const JsonValue& value) {
     }
   }
   if (const JsonValue* f = find(mo, "iterations")) {
-    m.iterations = static_cast<std::uint64_t>(f->number());
+    m.iterations = checked_integer<std::uint64_t>(*f, "iterations");
   }
   if (const JsonValue* f = find(mo, "repetitions")) {
-    m.repetitions = static_cast<int>(f->number());
+    m.repetitions = checked_integer<int>(*f, "repetitions");
   }
   if (const JsonValue* f = find(mo, "clock_overhead_ns")) {
-    m.clock_overhead_ns = static_cast<Nanos>(f->number());
+    m.clock_overhead_ns = checked_integer<Nanos>(*f, "clock_overhead_ns");
   }
   if (const JsonValue* f = find(mo, "clock_source"); f != nullptr && !f->is_null()) {
     m.clock_source = f->str();
   }
   if (const JsonValue* f = find(mo, "nanoscale")) m.nanoscale = f->boolean();
   if (const JsonValue* f = find(mo, "interval_overhead_ns"); f != nullptr && !f->is_null()) {
-    m.interval_overhead_ns = static_cast<Nanos>(f->number());
+    m.interval_overhead_ns = checked_integer<Nanos>(*f, "interval_overhead_ns");
   }
   if (const JsonValue* f = find(mo, "converged")) m.converged = f->boolean();
   if (const JsonValue* f = find(mo, "calibration_cached")) {
@@ -121,7 +121,7 @@ Measurement measurement_from_json(const JsonValue& value) {
     const JsonObject& co = f->object();
     obs::CounterTotals ct;
     if (const JsonValue* g = find(co, "intervals")) {
-      ct.intervals = static_cast<int>(g->number());
+      ct.intervals = checked_integer<int>(*g, "intervals");
     }
     if (const JsonValue* g = find(co, "cycles")) ct.cycles = number_or_nan(*g);
     if (const JsonValue* g = find(co, "instructions")) {
@@ -290,11 +290,13 @@ ResultBatch from_json(const std::string& text) {
     const JsonObject& to = timing->object();
     SuiteTiming t;
     if (const JsonValue* f = find(to, "total_wall_ms")) t.total_wall_ms = f->number();
-    if (const JsonValue* f = find(to, "jobs")) t.jobs = static_cast<int>(f->number());
+    if (const JsonValue* f = find(to, "jobs")) t.jobs = checked_integer<int>(*f, "jobs");
     if (const JsonValue* f = find(to, "cal_cache")) t.cal_cache = f->boolean();
-    if (const JsonValue* f = find(to, "cal_hits")) t.cal_hits = static_cast<int>(f->number());
+    if (const JsonValue* f = find(to, "cal_hits")) {
+      t.cal_hits = checked_integer<int>(*f, "cal_hits");
+    }
     if (const JsonValue* f = find(to, "cal_misses")) {
-      t.cal_misses = static_cast<int>(f->number());
+      t.cal_misses = checked_integer<int>(*f, "cal_misses");
     }
     batch.timing = t;
   }

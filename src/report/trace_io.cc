@@ -1,7 +1,5 @@
 #include "src/report/trace_io.h"
 
-#include <cmath>
-
 #include "src/report/json.h"
 
 namespace lmb::report {
@@ -69,10 +67,6 @@ std::string trace_to_json(const std::vector<obs::TraceEvent>& events,
   return out;
 }
 
-std::string trace_to_chrome(const std::vector<obs::TraceEvent>& events) {
-  return events_array(events, "  ") + "\n";
-}
-
 TraceDoc trace_from_json(const std::string& text) {
   JsonValue root = parse_json(text);
   const JsonObject& doc = root.object();
@@ -98,13 +92,13 @@ TraceDoc trace_from_json(const std::string& text) {
     if (const JsonValue* v = find(obj, "name")) e.name = v->str();
     if (const JsonValue* v = find(obj, "cat")) e.cat = v->str();
     if (const JsonValue* v = find(obj, "bench")) e.bench = v->str();
-    if (const JsonValue* v = find(obj, "tid")) e.tid = static_cast<int>(v->number());
+    if (const JsonValue* v = find(obj, "tid")) e.tid = checked_integer<int>(*v, "tid");
     // Exact nanosecond keys win; fall back to the Chrome microsecond ones
     // for documents produced by other tools.
     if (const JsonValue* v = find(obj, "tsNs")) {
-      e.ts = static_cast<Nanos>(v->number());
+      e.ts = checked_integer<Nanos>(*v, "tsNs");
     } else if (const JsonValue* v2 = find(obj, "ts")) {
-      e.ts = static_cast<Nanos>(std::llround(v2->number() * 1e3));
+      e.ts = checked_integer<Nanos>(*v2, "ts", 1e3);
     }
     bool span = false;
     if (const JsonValue* v = find(obj, "ph")) {
@@ -112,9 +106,9 @@ TraceDoc trace_from_json(const std::string& text) {
     }
     if (span) {
       if (const JsonValue* v = find(obj, "durNs")) {
-        e.dur = static_cast<Nanos>(v->number());
+        e.dur = checked_integer<Nanos>(*v, "durNs");
       } else if (const JsonValue* v2 = find(obj, "dur")) {
-        e.dur = static_cast<Nanos>(std::llround(v2->number() * 1e3));
+        e.dur = checked_integer<Nanos>(*v2, "dur", 1e3);
       } else {
         e.dur = 0;
       }

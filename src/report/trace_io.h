@@ -1,15 +1,12 @@
 // Trace exporters/importer for obs::TraceSink event streams.
 //
-// Two output shapes from one event list:
-//  * trace_to_json — the lmbenchpp.trace.v1 document: a JSON object with
-//    schema/system metadata plus a `traceEvents` array.  Each event is
-//    Chrome trace_event-shaped (name/cat/ph/ts/dur/pid/tid/args with
-//    microsecond timestamps) with extra keys (`tsNs`, `durNs`, `bench`)
-//    carrying the exact nanosecond values.  Because Chrome's "JSON Object
-//    Format" tolerates unknown top-level and per-event keys, the very same
-//    file loads in about:tracing and ui.perfetto.dev unmodified.
-//  * trace_to_chrome — the classic bare-array Chrome format, for tools that
-//    reject the object wrapper.
+// trace_to_json writes the lmbenchpp.trace.v1 document: a JSON object with
+// schema/system metadata plus a `traceEvents` array.  Each event is Chrome
+// trace_event-shaped (name/cat/ph/ts/dur/pid/tid/args with microsecond
+// timestamps) with extra keys (`tsNs`, `durNs`, `bench`) carrying the exact
+// nanosecond values.  Because Chrome's "JSON Object Format" tolerates
+// unknown top-level and per-event keys, the very same file loads in
+// about:tracing and ui.perfetto.dev unmodified.
 //
 // trace_from_json parses a v1 document back into events, preferring the
 // exact nanosecond keys over the rounded microsecond ones.  Argument order
@@ -37,9 +34,6 @@ struct TraceDoc {
 // Format" trace — load it in about:tracing / Perfetto directly).
 std::string trace_to_json(const std::vector<obs::TraceEvent>& events,
                           const std::string& system = "");
-
-// Classic Chrome trace_event "JSON Array Format": a bare array of events.
-std::string trace_to_chrome(const std::vector<obs::TraceEvent>& events);
 
 // Parses a trace_to_json document.  Throws std::invalid_argument on
 // malformed input or schema mismatch.

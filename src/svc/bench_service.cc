@@ -1,6 +1,5 @@
 #include "src/svc/bench_service.h"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "src/core/env.h"
@@ -13,11 +12,29 @@
 
 namespace lmb::svc {
 
+namespace {
+
+// Flags that no longer exist, each with what replaced it.  Options keeps
+// unknown keys, so a removed flag must fail loudly rather than silently do
+// nothing.
+struct RemovedFlag {
+  const char* name;
+  const char* replacement;
+};
+constexpr RemovedFlag kRemovedFlags[] = {
+    {"out", "write results with --json=PATH (lmbenchpp.results.v1)"},
+    {"trace-chrome",
+     "use --trace=PATH: its lmbenchpp.trace.v1 document is itself a Chrome trace that "
+     "about:tracing and Perfetto load"},
+};
+
+}  // namespace
+
 RunRequest RunRequest::from_options(const Options& opts) {
-  // Options keeps unknown keys, so a removed flag must fail loudly rather
-  // than silently write nothing.
-  if (opts.has("out")) {
-    throw UsageError("--out was removed; write results with --json=PATH (lmbenchpp.results.v1)");
+  for (const RemovedFlag& flag : kRemovedFlags) {
+    if (opts.has(flag.name)) {
+      throw UsageError(std::string("--") + flag.name + " was removed; " + flag.replacement);
+    }
   }
   RunRequest req;
   req.category = opts.get_string("category", "");
@@ -37,8 +54,7 @@ RunRequest RunRequest::from_options(const Options& opts) {
   req.cal_cache_path = opts.get_string("cal-cache", ".lmbenchpp-cal.db");
 
   req.trace_path = opts.get_string("trace", "");
-  req.trace_chrome_path = opts.get_string("trace-chrome", "");
-  req.collect_trace = !req.trace_path.empty() || !req.trace_chrome_path.empty();
+  req.collect_trace = !req.trace_path.empty();
 
   req.json_path = opts.get_string("json", "");
   req.csv_path = opts.get_string("csv", "");
@@ -182,14 +198,6 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
     }
     cal_available = cal_cache->size();
     config.cal_cache = cal_cache;
-    // Seed the selected clock's persisted read-overhead (if a prior run
-    // measured it) so this run skips the startup probe.  Must happen before
-    // the first overhead_ns() call — the value is memoized per process.
-    if (std::optional<CalEntry> seeded =
-            cal_cache->find(clock_overhead_cache_key(selected.source));
-        seeded.has_value() && seeded->iterations > 0) {
-      seed_clock_overhead(selected.source, static_cast<Nanos>(seeded->iterations));
-    }
   }
   artifacts.cal_cache_used = request.use_cal_cache;
   artifacts.cal_warm = cal_available > 0;
@@ -256,13 +264,6 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   if (cal_cache != nullptr) {
     artifacts.cal_hits = cal_cache->hits() - cal_hits_before;
     artifacts.cal_misses = cal_cache->misses() - cal_misses_before;
-    // Persist this run's measured clock-read overhead (clamped to >= 1 so
-    // the entry round-trips the store's positive-iterations rule) for the
-    // next run to seed from.
-    cal_cache->put(clock_overhead_cache_key(selected.source),
-                   CalEntry{static_cast<std::uint64_t>(
-                                std::max<Nanos>(selected.clock->overhead_ns(), 1)),
-                            1});
     try {
       db::save_calibration_cache(request.cal_cache_path, host_sig, *cal_cache);
     } catch (const std::exception& e) {
@@ -298,10 +299,6 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
     if (!request.trace_path.empty()) {
       sys::write_file(request.trace_path,
                       report::trace_to_json(artifacts.trace_events, info.label()));
-    }
-    if (!request.trace_chrome_path.empty()) {
-      sys::write_file(request.trace_chrome_path,
-                      report::trace_to_chrome(artifacts.trace_events));
     }
   }
 

@@ -70,10 +70,9 @@ struct RunRequest {
   std::string cal_cache_path = ".lmbenchpp-cal.db";
 
   // Timing-decision trace: collect events into RunArtifacts::trace_events
-  // and optionally write the serialized forms.
+  // and optionally write them out.
   bool collect_trace = false;
-  std::string trace_path;         // lmbenchpp.trace.v1 JSON ("" = skip)
-  std::string trace_chrome_path;  // bare-array Chrome trace_event ("" = skip)
+  std::string trace_path;  // lmbenchpp.trace.v1 JSON ("" = skip)
 
   // Output files ("" = skip each).
   std::string json_path;  // lmbenchpp.results.v1
@@ -96,12 +95,12 @@ struct RunRequest {
 
   // Builds a request from parsed command-line options, using exactly
   // run_suite's flag names (--category, --only, --jobs, --timeout, --json,
-  // --csv, --trace, --trace-chrome, --counters, --clock, --nanoscale,
-  // --cal-cache, --no-cal-cache, --baseline, --gate, --assume-noise,
-  // --save-baseline, --compare-json, --trend-store).  The full option set
-  // is also retained as bench_options so benchmark-level flags flow
-  // through.  Throws UsageError / std::invalid_argument on malformed
-  // values, and UsageError for the removed --out (use --json=PATH).
+  // --csv, --trace, --counters, --clock, --nanoscale, --cal-cache,
+  // --no-cal-cache, --baseline, --gate, --assume-noise, --save-baseline,
+  // --compare-json, --trend-store).  The full option set is also retained
+  // as bench_options so benchmark-level flags flow through.  Throws
+  // UsageError / std::invalid_argument on malformed values, and UsageError
+  // naming the replacement for a removed flag (--out, --trace-chrome).
   static RunRequest from_options(const Options& opts);
 };
 

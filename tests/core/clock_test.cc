@@ -69,28 +69,6 @@ TEST(ClockOverheadTest, RobustEstimatorSeesVirtualClockAsFree) {
   EXPECT_EQ(measure_clock_overhead_robust(clock, 64, 3), 0);
 }
 
-TEST(ClockOverheadTest, SeedingIsPerSource) {
-  // Unused source names so this test owns the map slots.
-  EXPECT_FALSE(seeded_clock_overhead("test-src-a").has_value());
-  seed_clock_overhead("test-src-a", 17);
-  ASSERT_TRUE(seeded_clock_overhead("test-src-a").has_value());
-  EXPECT_EQ(*seeded_clock_overhead("test-src-a"), 17);
-  EXPECT_FALSE(seeded_clock_overhead("test-src-b").has_value());
-  // Negative seeds are rejected (a cache can hold garbage; never propagate
-  // it into timing corrections).
-  seed_clock_overhead("test-src-b", -5);
-  EXPECT_FALSE(seeded_clock_overhead("test-src-b").has_value());
-}
-
-TEST(ClockOverheadTest, CacheKeyFollowsCalStoreGrammar) {
-  // Key must end in "@1" so CalEntry{overhead, 1} round-trips through the
-  // cal-store key grammar (min_interval after the final '@' must be > 0).
-  std::string key = clock_overhead_cache_key("tsc");
-  EXPECT_NE(key.find("tsc"), std::string::npos);
-  EXPECT_EQ(key.substr(key.rfind('@')), "@1");
-  EXPECT_NE(clock_overhead_cache_key("wall"), key);
-}
-
 TEST(StopWatchTest, MeasuresVirtualTime) {
   VirtualClock clock;
   StopWatch sw(clock);

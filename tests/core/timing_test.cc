@@ -77,24 +77,6 @@ TEST(MeasureTest, MinimumOfNoisyRepetitionsIsReported) {
   EXPECT_GT(m.max_ns_per_op, m.ns_per_op);
 }
 
-TEST(MeasureTest, SetupRunsBeforeEachRepetitionUntimed) {
-  ScriptedClock clock;
-  int setups = 0;
-  BenchBody body;
-  body.setup = [&]() { setups++; };
-  body.run = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 100); };
-  TimingPolicy policy;
-  policy.min_interval = kMillisecond;
-  policy.repetitions = 3;
-  policy.warmup_runs = 1;
-  Measurement m = measure(body, policy, clock);
-  // warmup (1) + calibration (1, whose final probe seeds the sample as the
-  // first repetition) + the 2 remaining repetitions.
-  EXPECT_GE(setups, 4);
-  EXPECT_EQ(m.repetitions, 3);
-  EXPECT_DOUBLE_EQ(m.ns_per_op, 100.0);
-}
-
 TEST(MeasureTest, BudgetCutsRepetitionsButKeepsAtLeastOne) {
   ScriptedClock clock;
   BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 1000); };

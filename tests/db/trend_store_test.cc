@@ -222,5 +222,24 @@ TEST_F(TrendStoreTest, LatestSkipsATornRunAndPrefersTheLaterOfTwoSequenceLines) 
   EXPECT_DOUBLE_EQ(latest_lat(store, "host"), 12.0);
 }
 
+// A line carrying an out-of-range integer throws on parse and is skipped
+// like a torn one: the later, corrupt twin of run 2's benchmark line loses
+// to the valid one, and a run-log line with a negative result count is no
+// run at all.
+TEST_F(TrendStoreTest, OutOfRangeIntegersSkipTheLineLikeATornOne) {
+  TrendStore store(dir());
+  store.append(make_batch("host", 10.0));
+  store.append(make_batch("host", 11.0));
+  std::string shard = dir() + "/" + store.hosts()[0];
+  std::ofstream(shard + "/lat_pipe.jsonl", std::ios::app)
+      << "{\"seq\":2,\"metrics\":[{\"key\":\"us\",\"value\":77,\"unit\":\"us\"}],"
+         "\"measurement\":{\"iterations\":-1}}\n"
+      << "{\"seq\":1e30,\"metrics\":[{\"key\":\"us\",\"value\":88,\"unit\":\"us\"}]}\n";
+  std::ofstream(shard + "/runs.jsonl", std::ios::app)
+      << "{\"seq\":3,\"system\":\"host\",\"results\":-1}\n";
+  EXPECT_EQ(store.runs(store.hosts()[0]).size(), 2u);
+  EXPECT_DOUBLE_EQ(latest_lat(store, "host"), 11.0);
+}
+
 }  // namespace
 }  // namespace lmb::db

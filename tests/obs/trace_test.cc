@@ -207,23 +207,50 @@ TEST(TraceIoTest, EventsAreChromeTraceEventShaped) {
   }
 }
 
-TEST(TraceIoTest, ChromeArrayFormatIsABareParseableArray) {
-  obs::TraceSink sink;
-  sink.instant("suite", "tick");
-  Nanos start = sink.timestamp();
-  sink.complete("suite", "span", start);
-
-  std::string text = report::trace_to_chrome(sink.events());
-  report::JsonValue root = report::parse_json(text);
-  EXPECT_EQ(root.array().size(), 2u);
-}
-
 TEST(TraceIoTest, EmptyTraceSerializesAndParses) {
   std::string text = report::trace_to_json({}, "");
   report::TraceDoc doc = report::trace_from_json(text);
   EXPECT_TRUE(doc.events.empty());
-  report::JsonValue chrome = report::parse_json(report::trace_to_chrome({}));
-  EXPECT_TRUE(chrome.array().empty());
+}
+
+// Integers read back are range-checked before the cast, the microsecond
+// fallbacks after scaling: a negative or huge value throws naming the field.
+TEST(TraceIoTest, OutOfRangeIntegersAreRejectedNotCast) {
+  obs::TraceSink sink;
+  sink.instant("suite", "tick", {{"k", "v"}});
+  sink.complete("timing", "rep", sink.timestamp());
+  const std::string text = report::trace_to_json(sink.events(), "host");
+  report::TraceDoc parsed = report::trace_from_json(text);
+  EXPECT_EQ(report::trace_to_json(parsed.events, parsed.system), text);
+
+  auto doc = [](const std::map<std::string, std::string>& fields) {
+    std::string event = "\"ph\": \"X\"";
+    for (const auto& [key, value] : fields) {
+      event += ", \"" + key + "\": " + value;
+    }
+    return "{\"schema\": \"lmbenchpp.trace.v1\", \"traceEvents\": [{" + event + "}]}";
+  };
+  const std::map<std::string, std::string> ns = {{"tid", "2"}, {"tsNs", "1500"}, {"durNs", "2500"}};
+  const std::map<std::string, std::string> us = {{"tid", "2"}, {"ts", "1.5"}, {"dur", "2.5"}};
+  for (const auto& fields : {ns, us}) {
+    report::TraceDoc ok = report::trace_from_json(doc(fields));
+    ASSERT_EQ(ok.events.size(), 1u);
+    EXPECT_EQ(ok.events[0].tid, 2);
+    EXPECT_EQ(ok.events[0].ts, 1500);
+    EXPECT_EQ(ok.events[0].dur, 2500);
+    for (const auto& [field, value] : fields) {
+      for (const char* bad : {"-1", "1e30"}) {
+        std::map<std::string, std::string> corrupt = fields;
+        corrupt[field] = bad;
+        try {
+          report::trace_from_json(doc(corrupt));
+          ADD_FAILURE() << field << " = " << bad << " was accepted";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(TraceIoTest, RejectsWrongSchema) {

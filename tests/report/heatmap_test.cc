@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <regex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -175,6 +176,27 @@ TEST(HeatmapTest, FromJsonRejectsBadInput) {
   EXPECT_THROW(heatmap_from_json("{\"schema\":\"lmbenchpp.results.v1\"}"),
                std::invalid_argument);
   EXPECT_THROW(heatmap_from_json("{}"), std::invalid_argument);
+}
+
+// Window counts are range-checked before the cast: a negative or huge value
+// in a corrupt document throws naming the field.
+TEST(HeatmapTest, FromJsonRejectsOutOfRangeCounts) {
+  const std::string doc = heatmap_to_json(build_heatmap("b", "s", synthetic_series()));
+  EXPECT_EQ(heatmap_to_json(heatmap_from_json(doc)), doc);
+  for (const std::string field : {"requests", "errors", "counts"}) {
+    for (const std::string bad : {"-1", "2e19"}) {  // uint64_t fields
+      std::smatch number;  // the first value of the field; `counts` is an array
+      ASSERT_TRUE(std::regex_search(doc, number, std::regex("\"" + field + "\":\\[?(\\d+)")));
+      std::string corrupt = doc.substr(0, static_cast<std::size_t>(number.position(1))) + bad +
+                            number.suffix().str();
+      try {
+        heatmap_from_json(corrupt);
+        ADD_FAILURE() << field << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+  }
 }
 
 TEST(HeatmapTest, RenderShowsWindowsAndTotals) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <regex>
 
 namespace lmb::report {
 namespace {
@@ -228,6 +229,39 @@ TEST(SerializeJsonTest, SuiteTimingRoundTripsAndAbsenceIsNull) {
   json = to_json(no_timing);
   EXPECT_NE(json.find("\"timing\": null"), std::string::npos);
   EXPECT_FALSE(from_json(json).timing.has_value());
+}
+
+// Integers read back are range-checked before the cast: a negative, huge or
+// infinite value in a hand-edited or corrupt document throws naming the
+// field instead of being undefined behaviour.
+TEST(SerializeJsonTest, OutOfRangeIntegersAreRejectedNotCast) {
+  SuiteTiming timing;
+  timing.jobs = 4;
+  timing.cal_hits = 17;
+  timing.cal_misses = 2;
+  ResultBatch batch{"host", sample_batch(), timing, {}};
+  obs::CounterTotals totals;
+  totals.intervals = 3;
+  batch.results[0].measurement->counters = totals;
+  const std::string json = to_json(batch);
+  EXPECT_EQ(to_json(from_json(json)), json);  // a valid document is untouched
+
+  for (const std::string field : {"iterations", "repetitions", "clock_overhead_ns", "intervals",
+                                  "jobs", "cal_hits", "cal_misses"}) {
+    // iterations is a uint64_t: 2e19 is just past its range.
+    for (const std::string bad : {"-1", field == "iterations" ? "2e19" : "1e30"}) {
+      std::string doc = std::regex_replace(json, std::regex("\"" + field + "\": \\d+"),
+                                           "\"" + field + "\": " + bad,
+                                           std::regex_constants::format_first_only);
+      ASSERT_NE(doc, json) << field;
+      try {
+        from_json(doc);
+        ADD_FAILURE() << field << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+  }
 }
 
 TEST(SerializeCsvTest, TimingAppendsASuiteSummaryRow) {

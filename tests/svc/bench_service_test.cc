@@ -142,13 +142,16 @@ TEST_F(BenchServiceTest, WritesRequestedOutputFiles) {
   service.run(req);
   EXPECT_TRUE(fs::exists(req.json_path));
   EXPECT_TRUE(fs::exists(req.csv_path));
-  // The removed text-database flag is an error naming its replacement, not
-  // a silent no-op.
-  try {
-    RunRequest::from_options(Options::from_pairs({{"out", tmp_.path() + "/r.db"}}));
-    ADD_FAILURE() << "expected UsageError";
-  } catch (const UsageError& e) {
-    EXPECT_NE(std::string(e.what()).find("--json=PATH"), std::string::npos) << e.what();
+  // A removed output flag is an error naming its replacement, not a silent
+  // no-op.
+  for (auto [flag, replacement] : {std::pair{"out", "--json=PATH"},
+                                   std::pair{"trace-chrome", "--trace=PATH"}}) {
+    try {
+      RunRequest::from_options(Options::from_pairs({{flag, tmp_.path() + "/r.out"}}));
+      ADD_FAILURE() << "expected UsageError for --" << flag;
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(replacement), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -298,12 +301,23 @@ TEST_F(BenchServiceTest, ClockSourceFlowsIntoEveryMeasurement) {
     if (no_tsc) {
       ASSERT_EQ(setenv("LMBPP_NO_TSC", "1", 1), 0);
     }
-    RunArtifacts artifacts = service.run(timed_request(requested));
+    RunRequest req = timed_request(requested);
+    req.collect_trace = true;
+    RunArtifacts artifacts = service.run(req);
     ASSERT_EQ(unsetenv("LMBPP_NO_TSC"), 0);
+    std::map<std::string, std::string> select;
+    for (const obs::TraceEvent& e : artifacts.trace_events) {
+      if (e.cat == "clock" && e.name == "select") {
+        select = args_of(e);
+      }
+    }
+    ASSERT_EQ(select.count("overhead_ns"), 1u);
     ASSERT_EQ(artifacts.batch.results.size(), 2u);
     for (const RunResult& r : artifacts.batch.results) {
       ASSERT_TRUE(r.measurement.has_value()) << r.name;
       EXPECT_EQ(r.measurement->clock_source, "wall") << r.name << " no_tsc=" << no_tsc;
+      // The loop subtracts exactly the read cost the run reported selecting.
+      EXPECT_EQ(r.measurement->clock_overhead_ns, std::stoll(select["overhead_ns"])) << r.name;
     }
   }
 }

@@ -272,14 +272,17 @@ TEST_F(DaemonTest, UnknownBenchmarkSubmissionFailsWithUsageExitCode) {
   daemon.stop();
 }
 
-TEST_F(DaemonTest, RemovedOutFlagSubmissionFailsWithUsageExitCode) {
+TEST_F(DaemonTest, RemovedFlagSubmissionsFailWithUsageExitCode) {
   Daemon daemon(config());
   daemon.start();
   Client client(daemon.socket_path());
-  JsonValue done = client.submit({{"only", "fake_lat"}, {"out", "r.db"}});
-  const report::JsonObject& obj = done.object();
-  EXPECT_EQ(static_cast<int>(find(obj, "exit_code")->number()), 2);
-  EXPECT_NE(find(obj, "error")->str().find("--json=PATH"), std::string::npos);
+  for (auto [flag, replacement] : {std::pair{"out", "--json=PATH"},
+                                   std::pair{"trace-chrome", "--trace=PATH"}}) {
+    JsonValue done = client.submit({{"only", "fake_lat"}, {flag, "r.out"}});
+    const report::JsonObject& obj = done.object();
+    EXPECT_EQ(static_cast<int>(find(obj, "exit_code")->number()), 2) << flag;
+    EXPECT_NE(find(obj, "error")->str().find(replacement), std::string::npos) << flag;
+  }
   daemon.stop();
 }
 
