@@ -13,7 +13,6 @@
 //                              [--json=results.json] [--csv=results.csv]
 //                              [--trace=trace.json]
 //                              [--counters] [--clock=auto|tsc|wall]
-//                              [--nanoscale]
 //                              [--cal-cache=PATH] [--no-cal-cache]
 //                              [--baseline=PATH] [--gate[=PCT]]
 //                              [--save-baseline] [--compare-json=PATH]
@@ -58,11 +57,6 @@
 //                unavailable); wall forces CLOCK_MONOTONIC.  The chosen
 //                source lands in every measurement's clock_source field
 //                and in the trace's clock/select event
-//   --nanoscale  batched back-to-back timing for nanosecond-scale work:
-//                one clock read separates adjacent repetitions, counters
-//                wrap the whole batch, and the measured per-interval
-//                clock+counter overhead is subtracted and reported in the
-//                trace and JSON (interval_overhead_ns)
 //   --with-hang  register a deliberately-hanging `test_hang` benchmark
 //                (for exercising --timeout end to end)
 //   --baseline=PATH   after the run, compare this run's results against a
@@ -82,6 +76,9 @@
 //   --trend-store=DIR  append this run to a time-series trend store
 //                (src/db/trend_store.h); `lmbench_trend DIR` reports
 //                per-metric history and changepoints across runs
+//
+// A removed flag is a usage error (exit 2) whose message says what replaced
+// it, or why nothing did.
 #include <chrono>
 #include <cstdio>
 #include <map>

@@ -132,8 +132,10 @@ ParallelBwResult measure_mem_bw_parallel(MemOp op, const ParallelBwConfig& confi
     auto* dst = reinterpret_cast<std::uint64_t*>(cal_buf.data() + dst_off);
     write_unrolled(src, words, 0x0102030405060708ull);
     write_unrolled(dst, words, 0);
-    iterations = calibrate_iterations(
-        [&](std::uint64_t iters) { body.run(dst, src, iters); }, config.policy);
+    const Clock& clock = selected_clock();
+    iterations = calibrate([&](std::uint64_t iters) { body.run(dst, src, iters); },
+                           config.policy, clock, clock.now())
+                     .iterations;
   }
 
   PinnedThreadPool pool(threads, config.pin);

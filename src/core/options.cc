@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <system_error>
 
@@ -179,16 +180,24 @@ std::int64_t Options::parse_size(const std::string& text) {
   if (pos + 1 != text.size()) {
     throw std::invalid_argument("malformed size: " + text);
   }
+  std::int64_t multiplier = 0;
   switch (std::tolower(static_cast<unsigned char>(text[pos]))) {
     case 'k':
-      return v * 1024;
+      multiplier = std::int64_t{1} << 10;
+      break;
     case 'm':
-      return v * 1024 * 1024;
+      multiplier = std::int64_t{1} << 20;
+      break;
     case 'g':
-      return v * 1024 * 1024 * 1024;
+      multiplier = std::int64_t{1} << 30;
+      break;
     default:
       throw std::invalid_argument("unknown size suffix: " + text);
   }
+  if (v > std::numeric_limits<std::int64_t>::max() / multiplier) {
+    throw std::invalid_argument("size out of range: " + text);
+  }
+  return v * multiplier;
 }
 
 }  // namespace lmb

@@ -40,13 +40,12 @@ RunResult execute(const BenchmarkInfo& info, const SuiteConfig& config, int work
     // Thread-local like CalibrationScope, so this composes with the timeout
     // path (the scope lives on whichever thread runs the body).
     obs::ObsScope obs_scope(config.trace, config.counters, info.name, worker);
-    // Same thread-local pattern again: with a configured clock (and/or
-    // nanoscale mode), every measure() call in the benchmark body that does
-    // not pass an explicit clock picks these up.
+    // Same thread-local pattern again: with a configured clock, every
+    // measure() call in the benchmark body that does not pass an explicit
+    // clock picks it up.
     std::optional<MeasureScope> measure_scope;
-    if (config.clock != nullptr || config.nanoscale) {
-      measure_scope.emplace(config.clock != nullptr ? *config.clock : WallClock::instance(),
-                            config.nanoscale);
+    if (config.clock != nullptr) {
+      measure_scope.emplace(*config.clock);
     }
     try {
       result = info.run(config.options);

@@ -67,14 +67,10 @@ struct SuiteConfig {
   bool counters = false;
   // Optional time source for every measurement in the suite (must outlive
   // run(), same lifetime rule as cal_cache).  When set, each benchmark runs
-  // inside a MeasureScope so measure() calls that don't pass an explicit
-  // clock use this one; null keeps the WallClock default.  Set from
-  // --clock= via select_clock (src/core/tsc_clock.h).
+  // inside a MeasureScope so timing calls that don't pass an explicit clock
+  // use this one; null keeps the WallClock default.  Set from --clock= via
+  // select_clock (src/core/tsc_clock.h).
   const Clock* clock = nullptr;
-  // Nanoscale timing mode for every measurement in the suite: batched
-  // back-to-back intervals with measured per-interval read overhead (see
-  // TimingPolicy::nanoscale).  Set from --nanoscale.
-  bool nanoscale = false;
 };
 
 // Observability hook payload.  kStart fires before a benchmark runs,

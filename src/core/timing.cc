@@ -20,14 +20,11 @@ thread_local MeasureScope* g_measure_scope = nullptr;
 
 }  // namespace
 
-MeasureScope::MeasureScope(const Clock& clock, bool nanoscale)
-    : clock_(&clock), nanoscale_(nanoscale), prev_(g_measure_scope) {
+MeasureScope::MeasureScope(const Clock& clock) : clock_(&clock), prev_(g_measure_scope) {
   g_measure_scope = this;
 }
 
 MeasureScope::~MeasureScope() { g_measure_scope = prev_; }
-
-MeasureScope* MeasureScope::current() { return g_measure_scope; }
 
 const Clock& selected_clock() {
   return g_measure_scope != nullptr ? g_measure_scope->clock() : WallClock::instance();
@@ -110,95 +107,6 @@ Measurement finish(std::uint64_t iterations, Sample sample, const Clock& clock,
   return m;
 }
 
-bool effective_nanoscale(const TimingPolicy& policy) {
-  if (policy.nanoscale) {
-    return true;
-  }
-  MeasureScope* scope = MeasureScope::current();
-  return scope != nullptr && scope->nanoscale();
-}
-
-// Nanoscale batch: `repetitions` back-to-back intervals separated by single
-// clock reads (the end stamp of interval k is the start stamp of k+1), with
-// hardware counters wrapping the whole batch instead of each interval.  The
-// per-interval overhead — one clock read, plus the amortized counter
-// snapshot pair when counters are on — is measured here at the batch site,
-// subtracted from each interval, and reported in both the trace and the
-// Measurement (never a silent zero: outside nanoscale mode the field is -1
-// and serializes as null).
-Measurement measure_nanoscale(const BenchFn& fn, const TimingPolicy& policy,
-                              const Clock& clock, std::uint64_t iters, bool cached,
-                              Observer& ob, Nanos measure_start, Nanos budget_start) {
-  // Fresh min-estimate of this clock's read cost, taken at the batch site
-  // rather than trusting the process-startup memoized value.
-  Nanos clock_read = measure_clock_overhead(clock, 512);
-
-  obs::PerfCounters* pc = ob.counters.get();
-  Nanos counter_pair = -1;
-  if (pc != nullptr) {
-    counter_pair = kSecond;
-    for (int i = 0; i < 32; ++i) {
-      Nanos t0 = clock.now();
-      pc->start();
-      (void)pc->stop();
-      Nanos cost = clock.now() - t0 - clock_read;
-      counter_pair = std::min(counter_pair, std::max<Nanos>(cost, 0));
-    }
-  }
-
-  const int cap = std::max(policy.repetitions, 1);
-  std::vector<Nanos> stamps(static_cast<size_t>(cap) + 1);
-  ob.totals = obs::CounterTotals{};  // the batch owns the totals (drop any probe sample)
-  if (pc != nullptr) {
-    pc->start();
-  }
-  stamps[0] = clock.now();
-  int reps = 0;
-  for (int r = 0; r < cap; ++r) {
-    fn(iters);
-    stamps[static_cast<size_t>(r) + 1] = clock.now();
-    reps = r + 1;
-    if (stamps[static_cast<size_t>(r) + 1] - budget_start > policy.max_total) {
-      break;  // out of budget; the stamps taken so far are still valid
-    }
-  }
-  if (pc != nullptr) {
-    ob.totals.add(pc->stop());
-  }
-
-  Sample sample;
-  for (int r = 0; r < reps; ++r) {
-    Nanos corrected = std::max<Nanos>(
-        stamps[static_cast<size_t>(r) + 1] - stamps[static_cast<size_t>(r)] - clock_read, 0);
-    sample.add(static_cast<double>(corrected) / static_cast<double>(iters));
-  }
-
-  Nanos interval_overhead =
-      clock_read + (pc != nullptr && reps > 0 ? counter_pair / reps : 0);
-  if (ob.sink != nullptr) {
-    ob.sink->instant("timing", "interval_overhead",
-                     {{"clock_source", clock.name()},
-                      {"clock_read_ns", ns_str(clock_read)},
-                      {"counter_pair_ns", pc != nullptr ? ns_str(counter_pair) : "null"},
-                      {"interval_overhead_ns", ns_str(interval_overhead)},
-                      {"intervals", std::to_string(reps)}});
-  }
-  Measurement m = finish(iters, std::move(sample), clock, false, cached, &ob);
-  m.nanoscale = true;
-  m.interval_overhead_ns = interval_overhead;
-  m.clock_overhead_ns = clock_read;  // what was actually subtracted per interval
-  if (ob.sink != nullptr) {
-    ob.sink->complete("timing", "measure", measure_start,
-                      {{"ns_per_op", std::to_string(m.ns_per_op)},
-                       {"iterations", u64_str(m.iterations)},
-                       {"repetitions", std::to_string(m.repetitions)},
-                       {"nanoscale", "true"},
-                       {"clock_source", m.clock_source},
-                       {"calibration_cached", m.calibration_cached ? "true" : "false"}});
-  }
-  return m;
-}
-
 // Early-stop test: enough intervals in, and the spread between the running
 // median and minimum is within the policy's tolerance.  A zero minimum only
 // converges on a zero median (degenerate scripted clocks).
@@ -254,11 +162,6 @@ Calibration calibrate(const BenchFn& fn, const TimingPolicy& policy, const Clock
     }
     iters = std::min(std::max(next, iters + 1), policy.max_iterations);
   }
-}
-
-std::uint64_t calibrate_iterations(const BenchFn& fn, const TimingPolicy& policy,
-                                   const Clock& clock) {
-  return calibrate(fn, policy, clock, clock.now()).iterations;
 }
 
 Measurement measure(const BenchFn& fn, const TimingPolicy& policy, const Clock& clock) {
@@ -340,13 +243,6 @@ Measurement measure(const BenchFn& fn, const TimingPolicy& policy, const Clock& 
     if (cache != nullptr) {
       cache->put(cache_key, CalEntry{iters, policy.min_interval});
     }
-  }
-
-  if (effective_nanoscale(policy)) {
-    // The calibration/validation interval above is not back-to-back with the
-    // batch, so the batch builds a fresh sample (and fresh counter totals).
-    return measure_nanoscale(fn, policy, clock, iters, cached, ob, measure_start,
-                             budget_start);
   }
 
   bool converged = false;

@@ -73,14 +73,6 @@ struct TimingPolicy {
   // remaining repetitions are skipped (at least one interval is always
   // timed).
   Nanos max_total = 20 * kSecond;
-  // Nanoscale mode (nanoBench-style): after calibration, time all
-  // repetitions as one batch of back-to-back intervals — a single clock read
-  // separates interval k from interval k+1, and hardware counters wrap the
-  // whole batch instead of each interval.  The per-interval clock(+counter)
-  // read overhead is measured alongside and reported in the trace and the
-  // JSON timing block.  Also enabled for every measurement inside a
-  // MeasureScope constructed with nanoscale = true.
-  bool nanoscale = false;
 
   // Defaults tuned to the paper's accuracy goals, with adaptive early stop.
   static TimingPolicy standard() { return TimingPolicy{}; }
@@ -122,12 +114,6 @@ struct Measurement {
   // "virtual", ... — recorded so results from different clocks never get
   // compared silently.
   std::string clock_source;
-  // True when the batched back-to-back path timed the intervals.
-  bool nanoscale = false;
-  // Nanoscale only: measured per-interval clock(+counter) read cost at
-  // measurement time, in ns.  -1 outside nanoscale mode (serialized as an
-  // explicit null, never a silent zero).
-  Nanos interval_overhead_ns = -1;
   // True when early stop triggered (the sample converged before the
   // repetition cap).
   bool converged = false;
@@ -147,30 +133,24 @@ struct Measurement {
   double ops_per_sec() const { return ns_per_op > 0 ? 1e9 / ns_per_op : 0.0; }
 };
 
-// Scoped default-clock (and nanoscale) selection, RAII like
-// CalibrationScope/ObsScope: while a MeasureScope is installed on a thread,
-// every measure()/calibrate_iterations()/measure_once_each() call that does
-// not pass an explicit clock uses the scope's clock, and nanoscale mode is
-// on when the scope says so.  This is how --clock/--nanoscale reach every
+// Scoped default-clock selection, RAII like CalibrationScope/ObsScope:
+// while a MeasureScope is installed on a thread, every measure()/
+// measure_once_each()/compare_interleaved() call that does not pass an
+// explicit clock uses the scope's clock.  This is how --clock reaches every
 // benchmark in a suite without threading a Clock& through each of them.
 // Scopes nest; the innermost wins.
 class MeasureScope {
  public:
-  explicit MeasureScope(const Clock& clock, bool nanoscale = false);
+  explicit MeasureScope(const Clock& clock);
   ~MeasureScope();
 
   MeasureScope(const MeasureScope&) = delete;
   MeasureScope& operator=(const MeasureScope&) = delete;
 
   const Clock& clock() const { return *clock_; }
-  bool nanoscale() const { return nanoscale_; }
-
-  // The innermost scope on this thread, or nullptr.
-  static MeasureScope* current();
 
  private:
   const Clock* clock_;
-  bool nanoscale_;
   MeasureScope* prev_;
 };
 
@@ -201,11 +181,6 @@ struct Calibration {
 // re-climbing from one iteration.
 Calibration calibrate(const BenchFn& fn, const TimingPolicy& policy, const Clock& clock,
                       Nanos budget_start, std::uint64_t start_iters = 1);
-
-// Back-compat shim: calibrates with the budget starting now, returning only
-// the count.  Exposed for tests and ablations.
-std::uint64_t calibrate_iterations(const BenchFn& fn, const TimingPolicy& policy,
-                                   const Clock& clock = selected_clock());
 
 // Measures `fn` under `policy`.  Throws std::invalid_argument if fn is empty.
 Measurement measure(const BenchFn& fn, const TimingPolicy& policy = TimingPolicy::standard(),

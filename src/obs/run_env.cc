@@ -235,7 +235,7 @@ std::vector<std::string> environment_warnings(const RunEnvironment& env) {
   if (env.isolcpus == "none" && env.nohz_full == "none" && env.rcu_nocbs == "none") {
     warnings.push_back(
         "no core isolation (isolcpus/nohz_full/rcu_nocbs unset); timer ticks and "
-        "stray tasks share the measured cores — nanoscale timings will carry more "
+        "stray tasks share the measured cores — short-op timings will carry more "
         "outliers");
   }
   double load = -1.0;

@@ -30,11 +30,12 @@ struct RunEnvironment {
   std::string turbo;      // "on" / "off" / "unknown"
   std::string smt;        // "on" / "off" / "unknown"
   std::string aslr;       // /proc/sys/kernel/randomize_va_space: "0".."2" / "unknown"
-  // Core-isolation kernel parameters from /proc/cmdline, the knobs a
-  // nanoscale-timing host should have set (a dedicated CPU list keeps the
-  // tick, RCU callbacks, and other tasks off the measured cores).  Each is
-  // the parameter's cpu-list value verbatim, or "none" when the parameter
-  // is absent ("unknown" when /proc/cmdline was unreadable).
+  // Core-isolation kernel parameters from /proc/cmdline, the knobs a host
+  // timing nanosecond-scale operations should have set (a dedicated CPU
+  // list keeps the tick, RCU callbacks, and other tasks off the measured
+  // cores).  Each is the parameter's cpu-list value verbatim, or "none"
+  // when the parameter is absent ("unknown" when /proc/cmdline was
+  // unreadable).
   std::string isolcpus;
   std::string nohz_full;
   std::string rcu_nocbs;

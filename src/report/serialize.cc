@@ -65,14 +65,8 @@ void append_measurement_json(std::string& out, const Measurement& m,
        {"iterations", std::to_string(m.iterations)},
        {"repetitions", std::to_string(m.repetitions)},
        {"clock_overhead_ns", std::to_string(m.clock_overhead_ns)},
-       // Time-source provenance: which clock produced the intervals, whether
-       // the batched nanoscale path ran, and — nanoscale only — the measured
-       // per-interval clock(+counter) read cost.  Null, never 0, outside
-       // nanoscale mode.
+       // Time-source provenance: which clock produced the intervals.
        {"clock_source", m.clock_source.empty() ? "null" : json_string(m.clock_source)},
-       {"nanoscale", m.nanoscale ? "true" : "false"},
-       {"interval_overhead_ns",
-        m.interval_overhead_ns >= 0 ? std::to_string(m.interval_overhead_ns) : "null"},
        {"converged", m.converged ? "true" : "false"},
        {"calibration_cached", m.calibration_cached ? "true" : "false"},
        {"ipc", ct != nullptr ? json_number(ct->ipc()) : "null"},
@@ -108,10 +102,6 @@ Measurement measurement_from_json(const JsonValue& value) {
   }
   if (const JsonValue* f = find(mo, "clock_source"); f != nullptr && !f->is_null()) {
     m.clock_source = f->str();
-  }
-  if (const JsonValue* f = find(mo, "nanoscale")) m.nanoscale = f->boolean();
-  if (const JsonValue* f = find(mo, "interval_overhead_ns"); f != nullptr && !f->is_null()) {
-    m.interval_overhead_ns = checked_integer<Nanos>(*f, "interval_overhead_ns");
   }
   if (const JsonValue* f = find(mo, "converged")) m.converged = f->boolean();
   if (const JsonValue* f = find(mo, "calibration_cached")) {

@@ -52,12 +52,11 @@ inline constexpr const char* kResultSchema = "lmbenchpp.results.v1";
 // category, status, error, wall_ms, display, metrics[] (key, value, unit),
 // measurement (ns_per_op, mean_ns_per_op, median_ns_per_op, max_ns_per_op,
 // stddev_ns_per_op, samples[], iterations, repetitions, clock_overhead_ns,
-// clock_source, nanoscale, interval_overhead_ns, converged,
-// calibration_cached, ipc, cache_miss_rate, counters), metadata{}.
+// clock_source, converged, calibration_cached, ipc, cache_miss_rate,
+// counters), metadata{}.
 // clock_source names the time source that produced the intervals ("wall",
-// "tsc", ...; null in legacy documents); interval_overhead_ns is the
-// measured per-interval clock+counter read cost and is null — never 0 —
-// outside nanoscale mode.
+// "tsc", ...; null in legacy documents).  The reader ignores keys it does
+// not know, so older documents carrying since-removed fields still parse.
 // Every measurement carries ipc and cache_miss_rate keys; they are null —
 // never 0 — when hardware counters were off or unavailable, and the counters
 // object (intervals, cycles, instructions, cache_refs, cache_misses,

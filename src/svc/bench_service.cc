@@ -14,9 +14,9 @@ namespace lmb::svc {
 
 namespace {
 
-// Flags that no longer exist, each with what replaced it.  Options keeps
-// unknown keys, so a removed flag must fail loudly rather than silently do
-// nothing.
+// Flags that no longer exist, each with what replaced it or why nothing
+// did.  Options keeps unknown keys, so a removed flag must fail loudly
+// rather than silently do nothing.
 struct RemovedFlag {
   const char* name;
   const char* replacement;
@@ -26,6 +26,10 @@ constexpr RemovedFlag kRemovedFlags[] = {
     {"trace-chrome",
      "use --trace=PATH: its lmbenchpp.trace.v1 document is itself a Chrome trace that "
      "about:tracing and Perfetto load"},
+    {"nanoscale",
+     "there is no replacement: every timed interval already lasts at least 1 ms, so one "
+     "clock read is noise, and a paired comparison found no number it changed (see "
+     "EXPERIMENTS.md)"},
 };
 
 }  // namespace
@@ -47,7 +51,6 @@ RunRequest RunRequest::from_options(const Options& opts) {
   } catch (const std::invalid_argument& e) {
     throw UsageError(e.what());
   }
-  req.nanoscale = opts.get_bool("nanoscale");
   req.bench_options = opts;
 
   req.use_cal_cache = !opts.get_bool("no-cal-cache");
@@ -176,7 +179,6 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   config.options = request.bench_options;
   config.counters = request.counters;
   config.clock = selected.clock;
-  config.nanoscale = request.nanoscale;
 
   obs::TraceSink* sink = nullptr;
   if (request.collect_trace) {
@@ -230,8 +232,7 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
     obs::TraceArgs clock_args = {{"requested", clock_source_name(request.clock_source)},
                                  {"source", selected.source},
                                  {"fell_back", selected.fell_back ? "true" : "false"},
-                                 {"overhead_ns", std::to_string(selected.clock->overhead_ns())},
-                                 {"nanoscale", request.nanoscale ? "true" : "false"}};
+                                 {"overhead_ns", std::to_string(selected.clock->overhead_ns())}};
     if (selected.source == "tsc") {
       const TscCalibration& cal = TscClock::calibration();
       clock_args.push_back({"tsc_mhz", std::to_string(cal.tsc_mhz)});

@@ -58,9 +58,6 @@ struct RunRequest {
   // measurement as clock_source, and an unhonorable --clock=tsc surfaces a
   // fallback warning, never a silent switch.
   ClockSource clock_source = ClockSource::kAuto;
-  // Nanoscale timing (--nanoscale): batched back-to-back intervals with
-  // measured per-interval read overhead (TimingPolicy::nanoscale).
-  bool nanoscale = false;
   // Passed verbatim to every benchmark (--quick, --size=, --kernel=,
   // --bw-threads=, ...).
   Options bench_options;
@@ -95,12 +92,12 @@ struct RunRequest {
 
   // Builds a request from parsed command-line options, using exactly
   // run_suite's flag names (--category, --only, --jobs, --timeout, --json,
-  // --csv, --trace, --counters, --clock, --nanoscale, --cal-cache,
-  // --no-cal-cache, --baseline, --gate, --assume-noise, --save-baseline,
-  // --compare-json, --trend-store).  The full option set is also retained
-  // as bench_options so benchmark-level flags flow through.  Throws
-  // UsageError / std::invalid_argument on malformed values, and UsageError
-  // naming the replacement for a removed flag (--out, --trace-chrome).
+  // --csv, --trace, --counters, --clock, --cal-cache, --no-cal-cache,
+  // --baseline, --gate, --assume-noise, --save-baseline, --compare-json,
+  // --trend-store).  The full option set is also retained as bench_options
+  // so benchmark-level flags flow through.  Throws UsageError /
+  // std::invalid_argument on malformed values, and UsageError naming the
+  // replacement for a removed flag, or saying why there is none.
   static RunRequest from_options(const Options& opts);
 };
 

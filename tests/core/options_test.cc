@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace lmb {
 namespace {
 
@@ -44,6 +46,20 @@ TEST(OptionsTest, MalformedSizesRejected) {
   EXPECT_THROW(Options::parse_size("12kb"), std::invalid_argument);
   EXPECT_THROW(Options::parse_size("-5"), std::invalid_argument);
   EXPECT_THROW(Options::parse_size("abc"), std::exception);
+}
+
+// A suffixed size whose product passes INT64_MAX is an error naming the
+// text, not signed overflow; the largest value that fits still parses.
+TEST(OptionsTest, SuffixedSizeBeyondInt64IsRejected) {
+  for (const char* text : {"8589934592g", "8796093022208m", "9007199254740992k"}) {
+    try {
+      Options::parse_size(text);
+      ADD_FAILURE() << "expected invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(Options::parse_size("8589934591g"), 9223372035781033984);
 }
 
 TEST(OptionsTest, BooleanSpellings) {

@@ -28,7 +28,7 @@ TEST(CalibrateTest, FindsIterationCountMeetingMinInterval) {
   BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * kPerOp); };
   TimingPolicy policy;
   policy.min_interval = 10 * kMillisecond;
-  std::uint64_t iters = calibrate_iterations(fn, policy, clock);
+  std::uint64_t iters = calibrate(fn, policy, clock, clock.now()).iterations;
   // 10 ms / 1 us = 10,000 ops minimum.
   EXPECT_GE(iters, 10'000u);
   // The 20% overshoot plus geometric probing should not explode.
@@ -41,7 +41,7 @@ TEST(CalibrateTest, RespectsMaxIterations) {
   TimingPolicy policy;
   policy.min_interval = kSecond;
   policy.max_iterations = 5000;
-  EXPECT_EQ(calibrate_iterations(fn, policy, clock), 5000u);
+  EXPECT_EQ(calibrate(fn, policy, clock, clock.now()).iterations, 5000u);
 }
 
 TEST(MeasureTest, ReportsPerOperationTime) {
@@ -259,7 +259,7 @@ TEST(CalibrationReuseTest, FinalProbeSeedsTheSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Clock-source scope, nanoscale batching, and A/B interleaving.
+// Clock-source scope and A/B interleaving.
 
 TEST(MeasureScopeTest, SelectedClockDefaultsToWallAndFollowsScope) {
   EXPECT_EQ(&selected_clock(), static_cast<const Clock*>(&WallClock::instance()));
@@ -267,12 +267,10 @@ TEST(MeasureScopeTest, SelectedClockDefaultsToWallAndFollowsScope) {
   {
     MeasureScope scope(outer);
     EXPECT_EQ(&selected_clock(), static_cast<const Clock*>(&outer));
-    EXPECT_FALSE(scope.nanoscale());
     ScriptedClock inner;
     {
-      MeasureScope nested(inner, /*nanoscale=*/true);
+      MeasureScope nested(inner);
       EXPECT_EQ(&selected_clock(), static_cast<const Clock*>(&inner));
-      EXPECT_TRUE(nested.nanoscale());
     }
     EXPECT_EQ(&selected_clock(), static_cast<const Clock*>(&outer));
   }
@@ -285,59 +283,10 @@ TEST(MeasureScopeTest, MeasurementRecordsTheClockSource) {
   TimingPolicy policy = TimingPolicy::quick();
   Measurement m = measure(fn, policy, clock);
   EXPECT_EQ(m.clock_source, "custom");  // ScriptedClock never overrides name()
-  EXPECT_FALSE(m.nanoscale);
-  EXPECT_EQ(m.interval_overhead_ns, -1);  // null outside nanoscale mode
 
   VirtualClock vclock;
   BenchFn vfn = [&](std::uint64_t iters) { vclock.advance(static_cast<Nanos>(iters) * 100); };
   EXPECT_EQ(measure(vfn, policy, vclock).clock_source, "virtual");
-}
-
-TEST(NanoscaleTest, RecoversScriptedCostWithReadCostSubtracted) {
-  // Read cost 500: the batch estimator must measure it back-to-back, subtract
-  // one read per interval, and report it — never a silent zero.
-  VirtualClock clock;
-  clock.set_read_cost(500);
-  constexpr Nanos kPerOp = 1000;
-  BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * kPerOp); };
-  TimingPolicy policy;
-  policy.min_interval = kMillisecond;
-  policy.repetitions = 5;
-  policy.nanoscale = true;
-  Measurement m = measure(fn, policy, clock);
-  EXPECT_TRUE(m.nanoscale);
-  EXPECT_EQ(m.clock_overhead_ns, 500);
-  EXPECT_EQ(m.interval_overhead_ns, 500);  // no counters: one clock read only
-  EXPECT_EQ(m.clock_source, "virtual");
-  EXPECT_DOUBLE_EQ(m.ns_per_op, static_cast<double>(kPerOp));
-  EXPECT_EQ(m.repetitions, 5);
-}
-
-TEST(NanoscaleTest, ScopeFlagEnablesItWithoutPolicyChanges) {
-  ScriptedClock clock;
-  BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 200); };
-  TimingPolicy policy;
-  policy.min_interval = kMillisecond;
-  policy.repetitions = 3;
-  MeasureScope scope(clock, /*nanoscale=*/true);
-  Measurement m = measure(fn, policy, clock);
-  EXPECT_TRUE(m.nanoscale);
-  EXPECT_GE(m.interval_overhead_ns, 0);
-  EXPECT_DOUBLE_EQ(m.ns_per_op, 200.0);
-}
-
-TEST(NanoscaleTest, BudgetStopsTheBatchEarly) {
-  ScriptedClock clock;
-  BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 1000); };
-  TimingPolicy policy;
-  policy.min_interval = 10 * kMillisecond;
-  policy.repetitions = 100;
-  policy.max_total = 40 * kMillisecond;
-  policy.nanoscale = true;
-  Measurement m = measure(fn, policy, clock);
-  EXPECT_TRUE(m.nanoscale);
-  EXPECT_GE(m.repetitions, 1);
-  EXPECT_LT(m.repetitions, 100);
 }
 
 TEST(CompareInterleavedTest, RejectsDegenerateInput) {

@@ -241,5 +241,30 @@ TEST_F(TrendStoreTest, OutOfRangeIntegersSkipTheLineLikeATornOne) {
   EXPECT_DOUBLE_EQ(latest_lat(store, "host"), 11.0);
 }
 
+// A run recorded while the batched timing loop existed: its measurement
+// carries two keys the reader no longer knows.  It is still the baseline.
+TEST_F(TrendStoreTest, LatestReadsAMeasurementWithOldNanoscaleKeys) {
+  TrendStore store(dir());
+  store.append(make_batch("host", 10.0));
+  std::string shard = dir() + "/" + store.hosts()[0];
+  std::ofstream(shard + "/lat_pipe.jsonl", std::ios::app)
+      << "{\"seq\":2,\"metrics\":[{\"key\":\"us\",\"value\":12,\"unit\":\"us\"}],"
+         "\"measurement\":{\"ns_per_op\":12000,\"iterations\":64,\"repetitions\":11,"
+         "\"clock_source\":\"tsc\",\"nanoscale\":true,\"interval_overhead_ns\":9}}\n";
+  std::ofstream(shard + "/runs.jsonl", std::ios::app)
+      << "{\"seq\":2,\"system\":\"host\",\"total_wall_ms\":5,\"results\":1}\n";
+
+  std::optional<report::ResultBatch> latest = store.latest("host");
+  ASSERT_TRUE(latest.has_value());
+  ASSERT_EQ(latest->results.size(), 1u);
+  EXPECT_DOUBLE_EQ(latest->results[0].metrics.at(0).value, 12.0);
+  ASSERT_TRUE(latest->results[0].measurement.has_value());
+  const Measurement& m = *latest->results[0].measurement;
+  EXPECT_DOUBLE_EQ(m.ns_per_op, 12000.0);
+  EXPECT_EQ(m.iterations, 64u);
+  EXPECT_EQ(m.repetitions, 11);
+  EXPECT_EQ(m.clock_source, "tsc");
+}
+
 }  // namespace
 }  // namespace lmb::db

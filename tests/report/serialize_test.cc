@@ -87,7 +87,7 @@ TEST(SerializeJsonTest, RoundTripsABatch) {
   }
 }
 
-TEST(SerializeJsonTest, ClockSourceAndNanoscaleFieldsRoundTrip) {
+TEST(SerializeJsonTest, ClockSourceRoundTrips) {
   RunResult r;
   r.name = "lat_ops";
   r.category = "latency";
@@ -97,8 +97,6 @@ TEST(SerializeJsonTest, ClockSourceAndNanoscaleFieldsRoundTrip) {
   m.iterations = 1 << 20;
   m.repetitions = 7;
   m.clock_source = "tsc";
-  m.nanoscale = true;
-  m.interval_overhead_ns = 9;
   r.measurement = m;
 
   ResultBatch parsed = from_json(to_json(ResultBatch{"h", {r}, {}}));
@@ -106,8 +104,38 @@ TEST(SerializeJsonTest, ClockSourceAndNanoscaleFieldsRoundTrip) {
   ASSERT_TRUE(parsed.results[0].measurement.has_value());
   const Measurement& out = *parsed.results[0].measurement;
   EXPECT_EQ(out.clock_source, "tsc");
-  EXPECT_TRUE(out.nanoscale);
-  EXPECT_EQ(out.interval_overhead_ns, 9);
+  EXPECT_EQ(out.iterations, 1u << 20);
+  EXPECT_EQ(out.repetitions, 7);
+}
+
+// Documents written while the batched timing loop existed carry two more
+// measurement keys.  They still parse, and a rewrite drops them.
+TEST(SerializeJsonTest, OldNanoscaleKeysParseAndAreNotWrittenBack) {
+  const std::string old_doc = R"({
+    "schema": "lmbenchpp.results.v1",
+    "system": "h",
+    "results": [{
+      "name": "lat_ops", "category": "latency", "status": "ok",
+      "metrics": [{"key": "ns", "value": 1.25, "unit": "ns"}],
+      "measurement": {"ns_per_op": 1.25, "iterations": 64, "repetitions": 11,
+                      "clock_overhead_ns": 12, "clock_source": "tsc",
+                      "nanoscale": true, "interval_overhead_ns": 9,
+                      "converged": false, "calibration_cached": false}
+    }]
+  })";
+  ResultBatch parsed = from_json(old_doc);
+  ASSERT_EQ(parsed.results.size(), 1u);
+  ASSERT_TRUE(parsed.results[0].measurement.has_value());
+  const Measurement& m = *parsed.results[0].measurement;
+  EXPECT_DOUBLE_EQ(m.ns_per_op, 1.25);
+  EXPECT_EQ(m.iterations, 64u);
+  EXPECT_EQ(m.repetitions, 11);
+  EXPECT_EQ(m.clock_overhead_ns, 12);
+  EXPECT_EQ(m.clock_source, "tsc");
+
+  std::string rewritten = to_json(parsed);
+  EXPECT_EQ(rewritten.find("\"nanoscale\""), std::string::npos) << rewritten;
+  EXPECT_EQ(rewritten.find("\"interval_overhead_ns\""), std::string::npos) << rewritten;
 }
 
 TEST(SerializeJsonTest, LoadPercentileMetricsRoundTrip) {
@@ -140,22 +168,17 @@ TEST(SerializeJsonTest, AbsentClockFieldsSerializeAsNullNotZero) {
   r.name = "lat_ops";
   r.category = "latency";
   r.add("ns", 1.25, "ns");
-  Measurement m;  // defaults: no clock_source, not nanoscale, overhead -1
+  Measurement m;  // defaults: no clock_source
   m.ns_per_op = 1.25;
   r.measurement = m;
 
   std::string json = to_json(ResultBatch{"h", {r}, {}});
-  // Never a silent zero: an unknown source and an unmeasured overhead are
-  // null in the document.
+  // Never a silent empty string: an unknown source is null in the document.
   EXPECT_NE(json.find("\"clock_source\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"interval_overhead_ns\": null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"nanoscale\": false"), std::string::npos) << json;
 
   ResultBatch parsed = from_json(json);
   const Measurement& out = *parsed.results[0].measurement;
   EXPECT_TRUE(out.clock_source.empty());
-  EXPECT_FALSE(out.nanoscale);
-  EXPECT_EQ(out.interval_overhead_ns, -1);
 }
 
 TEST(SerializeJsonTest, GoldenFieldNamesAndUnits) {
@@ -337,8 +360,7 @@ TEST(SerializeJsonTest, NonFiniteValuesRoundTripAsNullThenNan) {
   r.measurement = m;
 
   std::string json = to_json(ResultBatch{"host", {r}, {}});
-  // ": nan"/": inf" is how a naive emitter leaks non-finite doubles; a bare
-  // "nan" search would trip on the "nanoscale" field.
+  // ": nan"/": inf" is how a naive emitter leaks non-finite doubles.
   EXPECT_EQ(json.find(": nan"), std::string::npos) << json;
   EXPECT_EQ(json.find(": inf"), std::string::npos) << json;
   EXPECT_EQ(json.find(": -inf"), std::string::npos) << json;

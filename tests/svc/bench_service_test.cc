@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,6 +18,8 @@
 #include "src/core/timing.h"
 #include "src/db/cal_store.h"
 #include "src/db/trend_store.h"
+#include "src/report/json.h"
+#include "src/sys/fdio.h"
 #include "src/sys/temp.h"
 
 namespace lmb::svc {
@@ -142,10 +145,11 @@ TEST_F(BenchServiceTest, WritesRequestedOutputFiles) {
   service.run(req);
   EXPECT_TRUE(fs::exists(req.json_path));
   EXPECT_TRUE(fs::exists(req.csv_path));
-  // A removed output flag is an error naming its replacement, not a silent
-  // no-op.
+  // A removed flag is an error naming its replacement, or why it has none,
+  // not a silent no-op.
   for (auto [flag, replacement] : {std::pair{"out", "--json=PATH"},
-                                   std::pair{"trace-chrome", "--trace=PATH"}}) {
+                                   std::pair{"trace-chrome", "--trace=PATH"},
+                                   std::pair{"nanoscale", "EXPERIMENTS.md"}}) {
     try {
       RunRequest::from_options(Options::from_pairs({{flag, tmp_.path() + "/r.out"}}));
       ADD_FAILURE() << "expected UsageError for --" << flag;
@@ -237,22 +241,19 @@ TEST_F(BenchServiceTest, MalformedOnlyListIsInvalidArgument) {
                std::invalid_argument);
 }
 
-TEST_F(BenchServiceTest, FromOptionsMapsClockAndNanoscaleFlags) {
+TEST_F(BenchServiceTest, FromOptionsMapsClockFlag) {
   RunRequest def = RunRequest::from_options(Options::from_pairs({}));
   EXPECT_EQ(def.clock_source, ClockSource::kAuto);
-  EXPECT_FALSE(def.nanoscale);
 
-  RunRequest req = RunRequest::from_options(
-      Options::from_pairs({{"clock", "wall"}, {"nanoscale", "true"}}));
+  RunRequest req = RunRequest::from_options(Options::from_pairs({{"clock", "wall"}}));
   EXPECT_EQ(req.clock_source, ClockSource::kWall);
-  EXPECT_TRUE(req.nanoscale);
 
   EXPECT_THROW(RunRequest::from_options(Options::from_pairs({{"clock", "sundial"}})),
                UsageError);
 }
 
-// Two benchmarks that actually call measure(), so the run's clock and
-// nanoscale selection reach a Measurement.
+// Two benchmarks that actually call measure(), so the run's clock selection
+// reaches a Measurement.
 Registry make_timed_registry() {
   Registry registry;
   for (const char* name : {"fake_timed", "fake_timed2"}) {
@@ -322,19 +323,17 @@ TEST_F(BenchServiceTest, ClockSourceFlowsIntoEveryMeasurement) {
   }
 }
 
-// --clock=auto --nanoscale --trace: clock/select says what was asked for and
-// what ran, and every interval_overhead event and every measurement carries
-// that source with a measured, non-negative overhead.
-TEST_F(BenchServiceTest, NanoscaleTraceCarriesTheSelectedClock) {
+// --clock=auto --trace: clock/select says what was asked for and what ran,
+// with a measured, non-negative read overhead, and every measurement carries
+// that source.
+TEST_F(BenchServiceTest, TraceCarriesTheSelectedClock) {
   Registry registry = make_timed_registry();
   BenchService service(registry);
   RunRequest req = timed_request(ClockSource::kAuto);
-  req.nanoscale = true;
   req.collect_trace = true;
   RunArtifacts artifacts = service.run(req);
 
   std::map<std::string, std::string> select;
-  int overhead_events = 0;
   for (const obs::TraceEvent& e : artifacts.trace_events) {
     if (e.cat == "clock" && e.name == "select") {
       select = args_of(e);
@@ -352,23 +351,69 @@ TEST_F(BenchServiceTest, NanoscaleTraceCarriesTheSelectedClock) {
     EXPECT_GT(std::stod(select["tsc_error_ppm"]), 0.0);
   }
 
-  for (const obs::TraceEvent& e : artifacts.trace_events) {
-    if (e.cat != "timing" || e.name != "interval_overhead") {
-      continue;
-    }
-    ++overhead_events;
-    std::map<std::string, std::string> a = args_of(e);
-    EXPECT_EQ(a["clock_source"], source) << e.bench;
-    EXPECT_GE(std::stoll(a["clock_read_ns"]), 0) << e.bench;
-    EXPECT_GE(std::stoll(a["interval_overhead_ns"]), 0) << e.bench;
-  }
-  EXPECT_GT(overhead_events, 0);
-
   for (const RunResult& r : artifacts.batch.results) {
     ASSERT_TRUE(r.measurement.has_value()) << r.name;
     EXPECT_EQ(r.measurement->clock_source, source) << r.name;
-    EXPECT_TRUE(r.measurement->nanoscale) << r.name;
-    EXPECT_GE(r.measurement->interval_overhead_ns, 0) << r.name;
+  }
+}
+
+// run_suite --jobs=2 --counters --trace=PATH --json=PATH with counters
+// unavailable (LMBPP_NO_COUNTERS): the run still succeeds, the trace file is
+// a Chrome trace covering the suite, calibration and timing layers, and
+// every measurement carries explicit null counter fields, never zeros.
+TEST_F(BenchServiceTest, TracedCounterRunWritesAChromeTraceAndNullCounters) {
+  Registry registry = make_timed_registry();
+  BenchService service(registry);
+  RunRequest req = timed_request(ClockSource::kAuto);
+  req.jobs = 2;
+  req.counters = true;
+  req.collect_trace = true;
+  req.trace_path = tmp_.path() + "/trace.json";
+  req.json_path = tmp_.path() + "/traced.json";
+  ASSERT_EQ(setenv("LMBPP_NO_COUNTERS", "1", 1), 0);
+  RunArtifacts artifacts = service.run(req);
+  ASSERT_EQ(unsetenv("LMBPP_NO_COUNTERS"), 0);
+  EXPECT_EQ(artifacts.exit_code(), 0);
+
+  report::JsonValue trace = report::parse_json(sys::read_file(req.trace_path));
+  const report::JsonObject& doc = trace.object();
+  ASSERT_NE(report::find(doc, "schema"), nullptr);
+  EXPECT_EQ(report::find(doc, "schema")->str(), "lmbenchpp.trace.v1");
+  ASSERT_NE(report::find(doc, "traceEvents"), nullptr);
+  const report::JsonArray& events = report::find(doc, "traceEvents")->array();
+  ASSERT_FALSE(events.empty());
+  std::set<std::string> cats;
+  for (const report::JsonValue& event : events) {
+    const report::JsonObject& e = event.object();
+    for (const char* key : {"name", "cat", "ph", "ts", "pid", "tid"}) {
+      ASSERT_NE(report::find(e, key), nullptr) << "event without " << key;
+    }
+    const std::string& ph = report::find(e, "ph")->str();
+    EXPECT_TRUE(ph == "X" || ph == "i") << ph;
+    if (ph == "X") {
+      EXPECT_NE(report::find(e, "dur"), nullptr) << report::find(e, "name")->str();
+    }
+    cats.insert(report::find(e, "cat")->str());
+  }
+  for (const char* cat : {"suite", "calibration", "timing"}) {
+    EXPECT_EQ(cats.count(cat), 1u) << "no " << cat << " events";
+  }
+
+  report::JsonValue results = report::parse_json(sys::read_file(req.json_path));
+  const report::JsonValue* env = report::find(results.object(), "environment");
+  ASSERT_NE(env, nullptr);
+  EXPECT_FALSE(env->is_null());
+  const report::JsonArray& entries = report::find(results.object(), "results")->array();
+  ASSERT_EQ(entries.size(), 2u);
+  for (const report::JsonValue& entry : entries) {
+    const report::JsonValue* m = report::find(entry.object(), "measurement");
+    ASSERT_NE(m, nullptr);
+    ASSERT_FALSE(m->is_null());
+    for (const char* key : {"ipc", "cache_miss_rate", "counters"}) {
+      const report::JsonValue* v = report::find(m->object(), key);
+      ASSERT_NE(v, nullptr) << key;
+      EXPECT_TRUE(v->is_null()) << key;
+    }
   }
 }
 

@@ -277,7 +277,8 @@ TEST_F(DaemonTest, RemovedFlagSubmissionsFailWithUsageExitCode) {
   daemon.start();
   Client client(daemon.socket_path());
   for (auto [flag, replacement] : {std::pair{"out", "--json=PATH"},
-                                   std::pair{"trace-chrome", "--trace=PATH"}}) {
+                                   std::pair{"trace-chrome", "--trace=PATH"},
+                                   std::pair{"nanoscale", "EXPERIMENTS.md"}}) {
     JsonValue done = client.submit({{"only", "fake_lat"}, {flag, "r.out"}});
     const report::JsonObject& obj = done.object();
     EXPECT_EQ(static_cast<int>(find(obj, "exit_code")->number()), 2) << flag;
