@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   Options opts = benchx::parse_options(argc, argv);
 
   lat::ConnectConfig cfg;
-  cfg.connects = static_cast<int>(opts.get_int("n", 20));
+  cfg.connects = opts.get_int_in("n", 20, 1, lat::ConnectConfig::kMaxConnects);
 
   benchx::print_header("Table 15", "TCP connect latency (microseconds)");
   benchx::print_config_line("repeated connect()+close() to a loopback listener; fastest of " +

@@ -86,6 +86,15 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) con
   return v;
 }
 
+int Options::get_int_in(const std::string& key, int fallback, int lo, int hi) const {
+  std::int64_t v = get_int(key, fallback);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("option --" + key + " out of range [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "]: " + std::to_string(v));
+  }
+  return static_cast<int>(v);
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) {

@@ -30,6 +30,10 @@ class Options {
   // std::invalid_argument when present but unparseable.
   std::string get_string(const std::string& key, const std::string& fallback = "") const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  // get_int range-checked before it is narrowed to int: a value outside
+  // [lo, hi] throws std::invalid_argument naming the key and the range,
+  // instead of wrapping on the cast (--n=4294967297 would otherwise be 1).
+  int get_int_in(const std::string& key, int fallback, int lo, int hi) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/registry.h"
@@ -153,10 +154,11 @@ Measurement measure_udp_latency(const IpcLatConfig& config) {
 }
 
 Measurement measure_tcp_connect(const ConnectConfig& config) {
-  if (config.connects < 1) {
-    throw std::invalid_argument("ConnectConfig: connects must be >= 1");
+  if (config.connects < 1 || config.connects > ConnectConfig::kMaxConnects) {
+    throw std::invalid_argument("ConnectConfig: connects must be in [1, " +
+                                std::to_string(ConnectConfig::kMaxConnects) + "]");
   }
-  sys::TcpListener listener;
+  sys::TcpListener listener(config.connects);
   int total = config.connects;
   sys::Child child = sys::fork_child([&]() {
     for (int i = 0; i < total; ++i) {
@@ -230,7 +232,7 @@ const BenchmarkRegistrar connect_registrar{{
     .run =
         [](const Options& opts) {
           ConnectConfig cfg;
-          cfg.connects = static_cast<int>(opts.get_int("n", cfg.connects));
+          cfg.connects = opts.get_int_in("n", cfg.connects, 1, ConnectConfig::kMaxConnects);
           Measurement m = measure_tcp_connect(cfg);
           return RunResult{}.with(m).add("us", m.us_per_op(), "us");
         },

@@ -38,7 +38,16 @@ Measurement measure_udp_latency(const IpcLatConfig& config = {});
 // TCP connection establishment: repeated connect()+close() against a
 // loopback listener; "Twenty connects are completed and the fastest of them
 // is used as the result" (Table 15, §6.7).
+//
+// The listener's backlog equals `connects`, so every connect completes
+// into the accept queue even before the acceptor child first runs.  With a
+// smaller backlog the first connect past it has its SYN dropped and waits
+// out the kernel's 1 s initial retransmission timeout.  `connects` is
+// capped at kMaxConnects, the default net.core.somaxconn before Linux 5.4:
+// above the kernel's cap listen(2) silently truncates the backlog and that
+// stall returns.
 struct ConnectConfig {
+  static constexpr int kMaxConnects = 128;
   int connects = 20;
 };
 Measurement measure_tcp_connect(const ConnectConfig& config = {});

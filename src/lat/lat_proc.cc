@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/core/registry.h"
@@ -86,7 +87,7 @@ namespace {
 ProcConfig config_from(const Options& opts) {
   ProcConfig cfg = opts.quick() ? ProcConfig::quick() : ProcConfig{};
   cfg.exec_path = opts.get_string("exec", cfg.exec_path);
-  cfg.iterations = static_cast<int>(opts.get_int("n", cfg.iterations));
+  cfg.iterations = opts.get_int_in("n", cfg.iterations, 1, std::numeric_limits<int>::max());
   return cfg;
 }
 

@@ -177,7 +177,7 @@ const BenchmarkRegistrar select_registrar{{
     .description = "select() over N descriptors",
     .run =
         [](const Options& opts) {
-          int n = static_cast<int>(opts.get_int("n", 64));
+          int n = opts.get_int_in("n", 64, 1, FD_SETSIZE);
           Measurement m = measure_select(n, policy_from(opts));
           RunResult r = RunResult{}.with(m).add("us", m.us_per_op(), "us");
           r.metadata["fds"] = std::to_string(n);

@@ -72,9 +72,29 @@ TEST(OptionsTest, BooleanSpellings) {
   EXPECT_THROW(bad.get_bool("e", false), std::invalid_argument);
 }
 
+// The 64-bit value is checked before the narrowing: 2^32+1 would otherwise
+// become 1 and slip past a lower bound of 1.
+TEST(OptionsTest, GetIntInRangeChecksBeforeNarrowing) {
+  Options opts = Options::from_pairs(
+      {{"lo", "0"}, {"hi", "129"}, {"wrap", "4294967297"}, {"ok", "128"}});
+  EXPECT_EQ(opts.get_int_in("ok", 20, 1, 128), 128);
+  EXPECT_EQ(opts.get_int_in("missing", 20, 1, 128), 20);
+  for (const char* key : {"lo", "hi", "wrap"}) {
+    try {
+      opts.get_int_in(key, 20, 1, 128);
+      ADD_FAILURE() << "expected invalid_argument for --" << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("[1, 128]"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(OptionsTest, TypedGettersValidate) {
   Options opts = Options::from_pairs({{"n", "12x"}, {"d", "1.5y"}});
   EXPECT_THROW(opts.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(opts.get_int_in("n", 0, 0, 100), std::invalid_argument);
   EXPECT_THROW(opts.get_double("d", 0), std::invalid_argument);
 }
 

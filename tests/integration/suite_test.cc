@@ -2,6 +2,11 @@
 // typed result with real metric values — the "build it, run it, get a
 // table" promise of §3.5 exercised in one place.
 #include <gtest/gtest.h>
+#include <sys/select.h>
+
+#include <climits>
+#include <cstdint>
+#include <string>
 
 #include "src/core/options.h"
 #include "src/core/registry.h"
@@ -50,6 +55,49 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SuiteTest, ::testing::ValuesIn(all_bench
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+// A count flag is range-checked as the parsed 64-bit value before it is
+// narrowed to int: --n=4294967297 must not wrap to 1 and report ok.
+struct CountFlag {
+  const char* bench;
+  std::int64_t max;
+};
+
+class CountFlagTest : public ::testing::TestWithParam<CountFlag> {};
+
+Options parse_flag(const std::string& arg) {
+  const char* argv[] = {"run_suite", arg.c_str()};
+  return Options::parse(2, argv);
+}
+
+TEST_P(CountFlagTest, OutOfRangeThrowsNamingKeyAndRange) {
+  const BenchmarkInfo* info = Registry::global().find(GetParam().bench);
+  ASSERT_NE(info, nullptr);
+  const std::string range = "[1, " + std::to_string(GetParam().max) + "]";
+  for (std::int64_t n : {std::int64_t{0}, GetParam().max + 1, (std::int64_t{1} << 32) + 1}) {
+    try {
+      info->run(parse_flag("--n=" + std::to_string(n)));
+      ADD_FAILURE() << info->name << " accepted --n=" << n;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(range), std::string::npos) << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RangeCheckedCounts, CountFlagTest,
+    ::testing::Values(CountFlag{"lat_connect", 128}, CountFlag{"lat_select", FD_SETSIZE},
+                      CountFlag{"lat_fork", INT_MAX}, CountFlag{"lat_exec", INT_MAX},
+                      CountFlag{"lat_sh", INT_MAX}),
+    [](const ::testing::TestParamInfo<CountFlag>& info) { return std::string(info.param.bench); });
+
+TEST(CountFlagCapTest, LatConnectRunsAtItsCap) {
+  RunResult result = Registry::global().find("lat_connect")->run(parse_flag("--n=128"));
+  EXPECT_TRUE(result.ok()) << result.error;
+  ASSERT_TRUE(result.measurement.has_value());
+  EXPECT_EQ(result.measurement->repetitions, 128);
+}
 
 TEST(SuiteInventoryTest, SummaryBenchmarksAreRegistered) {
   for (const std::string& name : report::summary_benchmarks()) {
