@@ -155,9 +155,12 @@ Calibration calibrate(const BenchFn& fn, const TimingPolicy& policy, const Clock
       next = iters * 10;
     } else {
       // Overshoot by 20% so the next probe usually terminates calibration.
+      // No floor on the step: a probe at 0.6-1x min_interval must not
+      // double, since every repetition inherits the final count; the
+      // iters + 1 below still guarantees progress.
       double scale = 1.2 * static_cast<double>(policy.min_interval) /
                      static_cast<double>(elapsed);
-      scale = std::clamp(scale, 2.0, 100.0);
+      scale = std::min(scale, 100.0);
       next = static_cast<std::uint64_t>(static_cast<double>(iters) * scale);
     }
     iters = std::min(std::max(next, iters + 1), policy.max_iterations);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <vector>
 
+#include "src/core/tsc_clock.h"
 #include "src/core/virtual_clock.h"
 
 namespace lmb {
@@ -33,6 +34,19 @@ TEST(CalibrateTest, FindsIterationCountMeetingMinInterval) {
   EXPECT_GE(iters, 10'000u);
   // The 20% overshoot plus geometric probing should not explode.
   EXPECT_LE(iters, 2'000'000u);
+}
+
+TEST(CalibrateTest, RampStepNearTheTargetDoesNotDouble) {
+  // A 700 us probe against a 1 ms target: the 20% overshoot asks for
+  // 1.2 ms.  A ramp that doubles every short probe would run 1.4 ms, and
+  // every repetition inherits the final probe's count.
+  ScriptedClock clock;
+  BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 1000); };
+  TimingPolicy policy;
+  policy.min_interval = kMillisecond;
+  Calibration cal = calibrate(fn, policy, clock, clock.now(), /*start_iters=*/700);
+  EXPECT_GE(cal.probe_elapsed, policy.min_interval);
+  EXPECT_LE(cal.probe_elapsed, 1250 * kMicrosecond);
 }
 
 TEST(CalibrateTest, RespectsMaxIterations) {
@@ -120,6 +134,19 @@ TEST(MeasurementTest, DerivedUnits) {
   EXPECT_DOUBLE_EQ(m.us_per_op(), 2500.0);
   EXPECT_DOUBLE_EQ(m.ms_per_op(), 2.5);
   EXPECT_DOUBLE_EQ(m.ops_per_sec(), 400.0);
+}
+
+TEST(TimingPolicyTest, StandardIntervalSpansHundredClockTicks) {
+  // DESIGN.md: a timed interval lasts at least max(100 x tick, 1 ms).  On a
+  // clock whose tick exceeds 1% of the default interval, the default is too
+  // short for it; fail loudly rather than time against it.
+  const Nanos interval = TimingPolicy::standard().min_interval;
+  ClockResolution wall = probe_resolution(WallClock::instance());
+  EXPECT_LE(100 * wall.tick, interval) << "wall tick " << wall.tick << " ns";
+  if (TscClock::supported()) {
+    ClockResolution tsc = probe_resolution(TscClock::instance());
+    EXPECT_LE(100 * tsc.tick, interval) << "tsc tick " << tsc.tick << " ns";
+  }
 }
 
 // ---------------------------------------------------------------------------
