@@ -7,6 +7,10 @@
 // 3. adaptive vs fixed: full-mini-suite wall clock under the adaptive
 //    engine (early stop + warm calibration cache) against the paper's
 //    fixed policy, with the headline minima compared side by side.
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -14,10 +18,9 @@
 
 #include "bench/bench_util.h"
 #include "src/core/cal_cache.h"
-#include <unistd.h>
-
 #include "src/lat/lat_ipc.h"
 #include "src/lat/lat_syscall.h"
+#include "src/report/compare.h"
 #include "src/sys/error.h"
 #include "src/sys/fdio.h"
 #include "src/sys/unique_fd.h"
@@ -149,8 +152,10 @@ int main(int argc, char** argv) {
     std::printf("adaptive engine vs fixed policy (%zu-benchmark mini-suite):\n", suite.size());
     std::printf("  %-12s  %14s  %14s  %9s\n", "benchmark", "fixed ns/op", "warm ns/op",
                 "delta%");
+    double largest = 0;  // largest |warm - fixed| / fixed
     for (size_t i = 0; i < suite.size(); ++i) {
       double delta = fixed_min[i] > 0 ? (warm_min[i] / fixed_min[i] - 1) * 100 : 0;
+      largest = std::max(largest, std::fabs(delta) / 100);
       std::printf("  %-12s  %14.2f  %14.2f  %8.2f%%\n", suite[i].name, fixed_min[i],
                   warm_min[i], delta);
     }
@@ -158,9 +163,18 @@ int main(int argc, char** argv) {
                 "adaptive warm %.0f ms\n",
                 fixed_wall / 1e6, cold_wall / 1e6, warm_wall / 1e6);
     std::printf("  -> early stop + warm calibration cache: %.1fx faster than the fixed\n"
-                "     policy, identical minima (cache hits %d / misses %d)\n",
+                "     policy (cache hits %d / misses %d)\n",
                 warm_wall > 0 ? static_cast<double>(fixed_wall) / warm_wall : 0.0,
                 cache.hits(), cache.misses());
+    const double floor = report::CompareThresholds{}.floor_rel;
+    std::printf("  largest |fixed - warm| difference: %.1f%%\n", largest * 100);
+    if (largest <= floor) {
+      std::printf("  -> the minima agree within the %.0f%% compare floor\n", floor * 100);
+    } else {
+      std::printf("  -> beyond the %.0f%% compare floor: one unpaired minimum per arm cannot\n"
+                  "     decide whether the two policies measure different numbers\n",
+                  floor * 100);
+    }
   }
   return 0;
 }

@@ -11,6 +11,4 @@ void print_header(const std::string& experiment, const std::string& description)
   std::printf("==============================================================\n");
 }
 
-void print_config_line(const std::string& text) { std::printf("config: %s\n\n", text.c_str()); }
-
 }  // namespace lmb::benchx

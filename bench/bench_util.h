@@ -1,39 +1,17 @@
-// Shared helpers for the table/figure reproduction binaries.
-//
-// Every bench binary prints the paper's table (from the embedded database)
-// with a row measured on this machine appended, re-sorted on the paper's
-// sort column — the workflow §3.5 describes.
+// Shared helpers for the ablation and extension bench binaries.
 #ifndef LMBENCHPP_BENCH_BENCH_UTIL_H_
 #define LMBENCHPP_BENCH_BENCH_UTIL_H_
 
 #include <string>
 
-#include "src/core/env.h"
 #include "src/core/options.h"
-#include "src/core/timing.h"
-#include "src/db/paper_data.h"
-#include "src/report/table.h"
 
 namespace lmb::benchx {
 
-// Label for the live row, e.g. "Linux/x86_64".
-inline std::string this_system() { return query_system_info().label(); }
-
 inline Options parse_options(int argc, char** argv) { return Options::parse(argc, argv); }
-
-// Cell helper: paper cells use kMissing (-1) for blanks.
-inline report::Cell cell(double v) {
-  if (v == db::kMissing) {
-    return report::Cell{};
-  }
-  return report::Cell{v};
-}
 
 // Standard preamble: experiment id + what the numbers mean.
 void print_header(const std::string& experiment, const std::string& description);
-
-// A paragraph describing the measured configuration.
-void print_config_line(const std::string& text);
 
 }  // namespace lmb::benchx
 

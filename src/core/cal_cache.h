@@ -15,8 +15,11 @@
 // alongside the whole set and discards the set wholesale on mismatch.
 //
 // A cached count is never trusted blindly: measure() re-times one interval
-// at the cached count and falls back to full calibration when it no longer
-// spans min_interval (thermal drift, migration, contention).
+// at the cached count and recalibrates, starting from the rate that probe
+// shows, when it no longer spans min_interval (thermal drift, migration,
+// contention) or spans more than 2 x min_interval (the same key used for a
+// larger workload, e.g. lat_mem_rd at another --size; a 1-iteration count,
+// which cannot shrink, is exempt).  A long probe is kept as repetition 1.
 #ifndef LMBENCHPP_SRC_CORE_CAL_CACHE_H_
 #define LMBENCHPP_SRC_CORE_CAL_CACHE_H_
 

@@ -50,6 +50,31 @@ std::vector<const BenchmarkInfo*> Registry::list(const std::string& category) co
   return out;
 }
 
+Options PlanEntry::options_over(const Options& base) const {
+  std::vector<const char*> argv = {name.c_str()};
+  for (const std::string& arg : args) {
+    argv.push_back(arg.c_str());
+  }
+  Options parsed = Options::parse(static_cast<int>(argv.size()), argv.data());
+  if (!parsed.positionals().empty()) {
+    throw std::invalid_argument(name + ": plan arg '" + parsed.positionals()[0] +
+                                "' is not a --flag");
+  }
+  Options merged = base;
+  for (const auto& [key, value] : parsed.entries()) {
+    merged.set(key, value);
+  }
+  return merged;
+}
+
+std::string PlanEntry::args_text() const {
+  std::string text;
+  for (const std::string& arg : args) {
+    text += (text.empty() ? "" : " ") + arg;
+  }
+  return text;
+}
+
 BenchmarkRegistrar::BenchmarkRegistrar(BenchmarkInfo info) {
   Registry::global().add(std::move(info));
 }

@@ -28,6 +28,24 @@ struct BenchmarkInfo {
   std::function<RunResult(const Options&)> run;
 };
 
+// One invocation in a run plan: a registered benchmark and the flags it
+// runs with on top of the suite's own options, e.g. {"lat_ctx",
+// {"--procs=8", "--size=32k"}}.  A result whose entry had args carries them
+// as metadata["args"] (args_text()), so every number traces to its entry.
+struct PlanEntry {
+  std::string name;
+  std::vector<std::string> args;  // "--key=value" or "--flag"
+
+  // `base` with this entry's args set over it.  Throws
+  // std::invalid_argument on an arg that is not a --flag.
+  Options options_over(const Options& base) const;
+
+  // The args joined by single spaces ("" when there are none).
+  std::string args_text() const;
+
+  bool operator==(const PlanEntry&) const = default;
+};
+
 class Registry {
  public:
   // The process-wide registry used by REGISTER_LMB_BENCHMARK.

@@ -9,6 +9,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -31,7 +32,8 @@ double elapsed_ms(Clock::time_point start) {
 // this composes with the timeout path's worker thread), hit/miss counts are
 // recorded as metadata, and the benchmark's wall clock feeds the cache's
 // scheduling history.
-RunResult execute(const BenchmarkInfo& info, const SuiteConfig& config, int worker) {
+RunResult execute(const BenchmarkInfo& info, const Options& options, const SuiteConfig& config,
+                  int worker) {
   CalibrationCache* cal_cache = config.cal_cache;
   Clock::time_point start = Clock::now();
   RunResult result;
@@ -48,7 +50,7 @@ RunResult execute(const BenchmarkInfo& info, const SuiteConfig& config, int work
       measure_scope.emplace(*config.clock);
     }
     try {
-      result = info.run(config.options);
+      result = info.run(options);
     } catch (const std::exception& e) {
       result = RunResult::failure(e.what());
     } catch (...) {
@@ -87,14 +89,15 @@ RunResult execute(const BenchmarkInfo& info, const SuiteConfig& config, int work
 // Runs one benchmark with a wall-clock budget.  The benchmark body runs on
 // its own thread; on timeout the thread is detached (see header contract)
 // and a kTimeout result is synthesized.
-RunResult execute_with_timeout(const BenchmarkInfo& info, const SuiteConfig& config,
-                               int worker) {
+RunResult execute_with_timeout(const BenchmarkInfo& info, const Options& options,
+                               const SuiteConfig& config, int worker) {
   const double timeout_sec = config.timeout_sec;
-  // The config is copied into the task: on timeout the worker thread is
-  // detached and may outlive the caller's SuiteConfig (the trace sink and
-  // cal_cache pointers inside it carry their own documented lifetime rules).
+  // The config and options are copied into the task: on timeout the worker
+  // thread is detached and may outlive the caller's SuiteConfig (the trace
+  // sink and cal_cache pointers inside it carry their own documented
+  // lifetime rules).
   std::packaged_task<RunResult()> task(
-      [&info, config, worker]() { return execute(info, config, worker); });
+      [&info, options, config, worker]() { return execute(info, options, config, worker); });
   std::future<RunResult> future = task.get_future();
   std::thread runner(std::move(task));
   if (future.wait_for(std::chrono::duration<double>(timeout_sec)) ==
@@ -113,6 +116,19 @@ RunResult execute_with_timeout(const BenchmarkInfo& info, const SuiteConfig& con
   result.wall_ms = timeout_sec * 1e3;
   return result;
 }
+
+// Memory and disk bandwidth are the most sensitive to a busy memory bus, so
+// members of these categories never run concurrently with each other.
+bool is_exclusive(const std::string& category) {
+  return category == "bandwidth" || category == "disk";
+}
+
+// One selected benchmark invocation.
+struct Work {
+  const BenchmarkInfo* info = nullptr;
+  Options options;   // the suite's options with the entry's args applied
+  std::string args;  // PlanEntry::args_text(); "" for a bare name
+};
 
 // Mutable scheduling state shared by workers.
 struct Scheduler {
@@ -135,18 +151,25 @@ void SuiteRunner::set_progress(std::function<void(const SuiteEvent&)> callback) 
 
 std::vector<RunResult> SuiteRunner::run(const SuiteConfig& config) const {
   // Select the work list ONCE (the old driver enumerated the registry
-  // twice and could disagree with itself).
-  std::vector<const BenchmarkInfo*> work;
-  if (!config.names.empty()) {
-    for (const std::string& name : config.names) {
-      const BenchmarkInfo* info = registry_->find(name);
-      if (info == nullptr) {
-        throw std::invalid_argument("unknown benchmark: " + name);
-      }
-      work.push_back(info);
+  // twice and could disagree with itself).  Names and a category become
+  // entries without args, so there is one selection path.
+  std::vector<PlanEntry> plan;
+  for (const std::string& name : config.names) {
+    plan.push_back(PlanEntry{name, {}});
+  }
+  plan.insert(plan.end(), config.entries.begin(), config.entries.end());
+  if (plan.empty()) {
+    for (const BenchmarkInfo* info : registry_->list(config.category)) {
+      plan.push_back(PlanEntry{info->name, {}});
     }
-  } else {
-    work = registry_->list(config.category);
+  }
+  std::vector<Work> work;
+  for (const PlanEntry& entry : plan) {
+    const BenchmarkInfo* info = registry_->find(entry.name);
+    if (info == nullptr) {
+      throw std::invalid_argument("unknown benchmark: " + entry.name);
+    }
+    work.push_back(Work{info, entry.options_over(config.options), entry.args_text()});
   }
 
   const int total = static_cast<int>(work.size());
@@ -172,7 +195,7 @@ std::vector<RunResult> SuiteRunner::run(const SuiteConfig& config) const {
   if (config.jobs > 1 && config.cal_cache != nullptr) {
     std::vector<double> expected(work.size());
     for (size_t i = 0; i < work.size(); ++i) {
-      expected[i] = config.cal_cache->expected_wall_ms(work[i]->name)
+      expected[i] = config.cal_cache->expected_wall_ms(work[i].info->name)
                         .value_or(std::numeric_limits<double>::infinity());
     }
     std::stable_sort(order.begin(), order.end(),
@@ -185,10 +208,6 @@ std::vector<RunResult> SuiteRunner::run(const SuiteConfig& config) const {
     }
     std::lock_guard<std::mutex> lock(sched.event_mu);
     progress_(event);
-  };
-
-  auto is_exclusive = [&](const std::string& category) {
-    return config.exclusive_categories.count(category) > 0;
   };
 
   // Worker loop: claim the first runnable item (skipping items whose
@@ -206,8 +225,8 @@ std::vector<RunResult> SuiteRunner::run(const SuiteConfig& config) const {
             if (sched.claimed[slot]) {
               continue;
             }
-            if (is_exclusive(work[slot]->category) &&
-                sched.busy.count(work[slot]->category) > 0) {
+            if (is_exclusive(work[slot].info->category) &&
+                sched.busy.count(work[slot].info->category) > 0) {
               continue;  // another member of this category is running
             }
             picked = slot;
@@ -221,12 +240,13 @@ std::vector<RunResult> SuiteRunner::run(const SuiteConfig& config) const {
         }
         sched.claimed[picked] = true;
         --sched.remaining;
-        if (is_exclusive(work[picked]->category)) {
-          sched.busy.insert(work[picked]->category);
+        if (is_exclusive(work[picked].info->category)) {
+          sched.busy.insert(work[picked].info->category);
         }
       }
 
-      const BenchmarkInfo& info = *work[picked];
+      const Work& item = work[picked];
+      const BenchmarkInfo& info = *item.info;
       if (config.trace != nullptr) {
         config.trace->instant("scheduler", "claim",
                               {{"bench", info.name},
@@ -238,8 +258,11 @@ std::vector<RunResult> SuiteRunner::run(const SuiteConfig& config) const {
       emit(SuiteEvent{SuiteEvent::Kind::kStart, static_cast<int>(picked), total, info.name,
                       info.description, nullptr});
       RunResult result = config.timeout_sec > 0
-                             ? execute_with_timeout(info, config, worker)
-                             : execute(info, config, worker);
+                             ? execute_with_timeout(info, item.options, config, worker)
+                             : execute(info, item.options, config, worker);
+      if (!item.args.empty()) {
+        result.metadata["args"] = item.args;
+      }
       if (config.trace != nullptr) {
         config.trace->complete("suite", info.name, bench_start,
                                {{"status", run_status_name(result.status)},

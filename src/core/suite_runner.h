@@ -4,10 +4,10 @@
 // The paper's driver (`lmbench-run`) executes benchmarks strictly one at a
 // time; this runner keeps that as the default (jobs=1) because concurrent
 // benchmarks perturb each other's timings.  When callers opt into
-// `jobs=N`, benchmarks whose category is *exclusive* (memory and disk
-// bandwidth by default — the ones most sensitive to a busy memory bus) are
-// still serialized against their own category, while cheap independent
-// latency probes overlap.
+// `jobs=N`, benchmarks in the *exclusive* categories "bandwidth" and
+// "disk" (the ones most sensitive to a busy memory bus) are still
+// serialized against their own category, while cheap independent latency
+// probes overlap.
 //
 // Isolation contract: one misbehaving benchmark cannot take down the
 // suite.  A throwing benchmark becomes a RunStatus::kError result; a
@@ -19,7 +19,6 @@
 #define LMBENCHPP_SRC_CORE_SUITE_RUNNER_H_
 
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,9 +34,13 @@ namespace lmb {
 struct SuiteConfig {
   // Run only benchmarks in this category ("" = every category).
   std::string category;
-  // Explicit benchmark names; when non-empty this overrides `category`.
-  // Unknown names throw std::invalid_argument before anything runs.
+  // Explicit benchmark names, each run with `options` alone.
   std::vector<std::string> names;
+  // Plan entries, each run with `options` plus its own args, after
+  // `names`.  A non-empty `names` or `entries` overrides `category`.
+  // Unknown names and malformed args throw std::invalid_argument before
+  // anything runs.
+  std::vector<PlanEntry> entries;
   // Worker count; values < 1 behave as 1.  Exclusive categories are
   // serialized regardless of the worker count.
   int jobs = 1;
@@ -45,8 +48,6 @@ struct SuiteConfig {
   double timeout_sec = 0.0;
   // Passed verbatim to every benchmark (--quick, --size=, ...).
   Options options;
-  // Categories whose members never run concurrently with each other.
-  std::set<std::string> exclusive_categories = {"bandwidth", "disk"};
   // Optional calibration cache (must outlive run()).  When set, every
   // benchmark runs inside a CalibrationScope against it, so measure()
   // calls memoize their calibrated iteration counts; per-benchmark wall
@@ -99,7 +100,8 @@ class SuiteRunner {
   void set_progress(std::function<void(const SuiteEvent&)> callback);
 
   // Executes the selected benchmarks and returns one RunResult per
-  // benchmark, in deterministic (name-sorted) order independent of `jobs`.
+  // benchmark or entry, in selection order (`names`, then `entries`; a
+  // category is name-sorted) independent of `jobs`.
   std::vector<RunResult> run(const SuiteConfig& config) const;
 
  private:

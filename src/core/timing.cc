@@ -211,15 +211,23 @@ Measurement measure(const BenchFn& fn, const TimingPolicy& policy, const Clock& 
                           {{"iters", u64_str(entry->iterations)},
                            {"elapsed_ns", ns_str(probe)}});
       }
+      // A probe past 2 x min_interval means the count would stretch every
+      // repetition too: the key names no args, so a count calibrated for a
+      // smaller workload (lat_mem_rd at another --size) comes back here.
+      // A single iteration cannot shrink, so it stays a hit.
+      const bool oversized = probe > 2 * policy.min_interval && entry->iterations > 1;
       if (probe >= policy.min_interval) {
+        // The probe spans a full interval: repetition 1, hit or not.
+        sample.add(static_cast<double>(probe) / static_cast<double>(entry->iterations));
+      }
+      if (probe >= policy.min_interval && !oversized) {
         iters = entry->iterations;
-        sample.add(static_cast<double>(probe) / static_cast<double>(iters));
         cached = true;
         scope->note_hit();
       } else if (probe > 0) {
-        // Drift: the probe fell short, but it still says roughly how fast
-        // the body is now — resume the ramp near the right count instead of
-        // re-climbing from one iteration.
+        // Drift: the probe fell short or ran long, but it still says
+        // roughly how fast the body is now — resume the ramp near the right
+        // count instead of re-climbing from one iteration.
         double scale = 1.2 * static_cast<double>(policy.min_interval) /
                        static_cast<double>(probe);
         ramp_start = static_cast<std::uint64_t>(

@@ -30,7 +30,10 @@
 //    cal_cache.h), calibrated iteration counts are cached and revalidated
 //    with a single probe instead of re-running the geometric ramp; the
 //    validation probe doubles as the first repetition, so a warm
-//    measurement wastes no intervals at all.
+//    measurement wastes no intervals at all.  A probe shorter than
+//    min_interval or longer than 2 x min_interval fails validation and
+//    re-ramps from the rate it shows (a long one is still kept as the
+//    first repetition).
 //  * Observability: inside an obs::ObsScope (src/obs/trace.h), every timing
 //    decision — calibration probes, warm-up, per-rep intervals, early stop,
 //    cache hit/miss — is emitted as a structured trace event, and hardware

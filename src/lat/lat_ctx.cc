@@ -147,20 +147,6 @@ CtxResult measure_ctx(const CtxConfig& config) {
   return result;
 }
 
-std::vector<CtxResult> sweep_ctx(const std::vector<int>& process_counts,
-                                 const std::vector<size_t>& footprints, const CtxConfig& base) {
-  std::vector<CtxResult> out;
-  for (size_t footprint : footprints) {
-    for (int procs : process_counts) {
-      CtxConfig cfg = base;
-      cfg.processes = procs;
-      cfg.footprint_bytes = footprint;
-      out.push_back(measure_ctx(cfg));
-    }
-  }
-  return out;
-}
-
 namespace {
 
 const BenchmarkRegistrar registrar{{

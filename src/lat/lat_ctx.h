@@ -50,11 +50,6 @@ struct CtxResult {
 // One configuration.
 CtxResult measure_ctx(const CtxConfig& config = {});
 
-// The Figure-2 surface: every (processes, footprint) combination.
-std::vector<CtxResult> sweep_ctx(const std::vector<int>& process_counts,
-                                 const std::vector<size_t>& footprints,
-                                 const CtxConfig& base = {});
-
 }  // namespace lmb::lat
 
 #endif  // LMBENCHPP_SRC_LAT_LAT_CTX_H_

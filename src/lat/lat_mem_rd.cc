@@ -171,6 +171,9 @@ const BenchmarkRegistrar registrar{{
           cfg.array_bytes = static_cast<size_t>(
               opts.get_size("size", opts.quick() ? (1 << 20) : (8 << 20)));
           cfg.stride_bytes = static_cast<size_t>(opts.get_size("stride", 64));
+          if (opts.get_bool("random")) {
+            cfg.order = ChaseOrder::kRandom;
+          }
           if (opts.quick()) {
             cfg.policy = TimingPolicy::quick();
           }
@@ -179,6 +182,7 @@ const BenchmarkRegistrar registrar{{
           r.add("ns", p.ns_per_load, "ns");
           r.metadata["bytes"] = std::to_string(cfg.array_bytes);
           r.metadata["stride"] = std::to_string(cfg.stride_bytes);
+          r.metadata["order"] = cfg.order == ChaseOrder::kRandom ? "random" : "stride";
           r.display = report::format_number(p.ns_per_load, 1) + " ns per load";
           return r;
         },

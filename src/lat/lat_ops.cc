@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/core/do_not_optimize.h"
+#include "src/core/mhz.h"
 #include "src/core/registry.h"
 #include "src/report/table.h"
 
@@ -214,6 +215,24 @@ const BenchmarkRegistrar registrar{{
                        report::format_number(r.ns_per_op, 2) + "ns  ";
           }
           out.display = display;
+          return out;
+        },
+}};
+
+// lmbench's mhz, the clock Table 6 counts latencies in.  Registered here
+// because lmb_core, where it lives, is not linked whole-archive.
+const BenchmarkRegistrar mhz_registrar{{
+    .name = "mhz",
+    .category = "latency",
+    .description = "CPU clock rate from a dependent-add chain (lmbench mhz, Table 6)",
+    .run =
+        [](const Options& opts) {
+          CpuClock clock =
+              estimate_cpu_clock(opts.quick() ? TimingPolicy::quick() : TimingPolicy::standard());
+          RunResult out;
+          out.add("mhz", clock.mhz, "MHz").add("period_ns", clock.period_ns, "ns");
+          out.display = report::format_number(clock.mhz, 0) + " MHz (" +
+                        report::format_number(clock.period_ns, 2) + " ns per cycle)";
           return out;
         },
 }};

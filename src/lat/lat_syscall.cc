@@ -16,7 +16,6 @@
 #include "src/sys/error.h"
 #include "src/sys/fdio.h"
 #include "src/sys/pipe.h"
-#include "src/sys/temp.h"
 #include "src/sys/unique_fd.h"
 
 namespace lmb::lat {
@@ -128,19 +127,6 @@ Measurement measure_select(int nfds, const TimingPolicy& policy) {
         }
       },
       policy);
-}
-
-SyscallLatencies measure_syscall_suite(const TimingPolicy& policy) {
-  SyscallLatencies out;
-  out.null_write_us = measure_null_write(policy).us_per_op();
-  out.getpid_us = measure_getpid(policy).us_per_op();
-  out.read_us = measure_null_read(policy).us_per_op();
-
-  sys::TempDir dir("lmb_syscall");
-  sys::write_file(dir.file("probe"), "x");
-  out.stat_us = measure_stat(dir.file("probe"), policy).us_per_op();
-  out.open_close_us = measure_open_close(dir.file("probe"), policy).us_per_op();
-  return out;
 }
 
 namespace {

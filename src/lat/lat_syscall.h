@@ -16,14 +16,6 @@
 
 namespace lmb::lat {
 
-struct SyscallLatencies {
-  double null_write_us = 0.0;  // Table 7's headline number
-  double getpid_us = 0.0;
-  double read_us = 0.0;   // 1 byte from /dev/zero
-  double stat_us = 0.0;   // stat() of an existing file
-  double open_close_us = 0.0;
-};
-
 // One-word write to /dev/null (Table 7).
 Measurement measure_null_write(const TimingPolicy& policy = TimingPolicy::standard());
 
@@ -42,9 +34,6 @@ Measurement measure_open_close(const std::string& path,
 
 // select(2) over `nfds` descriptors (pipes), zero timeout.
 Measurement measure_select(int nfds, const TimingPolicy& policy = TimingPolicy::standard());
-
-// The whole Table-7-plus-extensions set, in microseconds.
-SyscallLatencies measure_syscall_suite(const TimingPolicy& policy = TimingPolicy::standard());
 
 }  // namespace lmb::lat
 

@@ -1,9 +1,12 @@
 #include "src/simfs/fs_bench.h"
 
 #include <stdexcept>
+#include <string>
 
+#include "src/core/registry.h"
 #include "src/core/virtual_clock.h"
 #include "src/lat/lat_fs.h"
+#include "src/report/table.h"
 #include "src/simdisk/sim_disk.h"
 
 namespace lmb::simfs {
@@ -44,5 +47,39 @@ SimFsBenchResult measure_simfs_latency(const SimFsBenchConfig& config) {
   result.stats = fs.stats();
   return result;
 }
+
+namespace {
+
+// Table 16's spread on the simulated disk: lat_fs's workload at its default
+// (or --quick) file count in every durability mode, so one result holds
+// all three disciplines.
+const BenchmarkRegistrar registrar{{
+    .name = "lat_fs_sim",
+    .category = "disk",
+    .description = "0-byte file create/delete on SimFs, each durability mode (Table 16)",
+    .run =
+        [](const Options& opts) {
+          SimFsBenchConfig cfg;
+          cfg.file_count =
+              (opts.quick() ? lat::FsLatConfig::quick() : lat::FsLatConfig{}).file_count;
+          RunResult out;
+          std::string display;
+          for (DurabilityMode mode :
+               {DurabilityMode::kAsync, DurabilityMode::kJournaled, DurabilityMode::kSync}) {
+            cfg.mode = mode;
+            SimFsBenchResult r = measure_simfs_latency(cfg);
+            const std::string name = durability_mode_name(mode);
+            out.add(name + "_create_us", r.create_us, "us")
+                .add(name + "_delete_us", r.delete_us, "us");
+            display += name + " " + report::format_number(r.create_us, 0) + "/" +
+                       report::format_number(r.delete_us, 0) + " us  ";
+          }
+          out.metadata["files"] = std::to_string(cfg.file_count);
+          out.display = display;
+          return out;
+        },
+}};
+
+}  // namespace
 
 }  // namespace lmb::simfs

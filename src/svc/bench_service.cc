@@ -143,13 +143,19 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   // Validate the selection before anything runs: a typo must be a usage
   // error, not a silent zero-benchmark run.
   int total = 0;
-  if (!request.names.empty()) {
-    for (const std::string& name : request.names) {
+  if (!request.names.empty() || !request.entries.empty()) {
+    auto check = [&](const std::string& name) {
       if (registry_->find(name) == nullptr) {
         throw UsageError("no such benchmark '" + name + "' (try --list)");
       }
+    };
+    for (const std::string& name : request.names) {
+      check(name);
     }
-    total = static_cast<int>(request.names.size());
+    for (const PlanEntry& entry : request.entries) {
+      check(entry.name);
+    }
+    total = static_cast<int>(request.names.size() + request.entries.size());
   } else {
     total = static_cast<int>(registry_->list(request.category).size());
     if (total == 0 && !request.category.empty()) {
@@ -174,6 +180,7 @@ RunArtifacts BenchService::run(const RunRequest& request, const ProgressFn& prog
   SuiteConfig config;
   config.category = request.category;
   config.names = request.names;
+  config.entries = request.entries;
   config.jobs = request.jobs;
   config.timeout_sec = request.timeout_sec;
   config.options = request.bench_options;

@@ -44,10 +44,14 @@ class UsageError : public std::invalid_argument {
 // Everything one suite invocation needs — the typed form of run_suite's
 // command line.  Defaults reproduce `run_suite` with no flags.
 struct RunRequest {
-  // Selection: explicit names (overrides category) or a category filter
-  // ("" = every registered benchmark).
+  // Selection: explicit names, then plan entries (each with its own args
+  // over bench_options); either overrides a category filter ("" = every
+  // registered benchmark).  One run() executes a whole plan: one
+  // environment capture, one calibration-cache load and save, one trace,
+  // one set of output files.
   std::string category;
   std::vector<std::string> names;
+  std::vector<PlanEntry> entries;
 
   // Execution.
   int jobs = 1;
@@ -111,7 +115,7 @@ struct ServiceEvent {
 
   // kSuiteStart.
   std::string system;  // SystemInfo::label()
-  int total = 0;       // benchmarks selected
+  int total = 0;       // benchmarks (names plus entries) selected
   bool cal_cache = false;
   bool cal_warm = false;
   std::string cal_path;

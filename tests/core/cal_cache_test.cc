@@ -138,6 +138,66 @@ TEST(MeasureCacheTest, DriftedEntryFailsValidationAndRecalibrates) {
   EXPECT_EQ(refreshed->iterations, m.iterations);
 }
 
+TEST(MeasureCacheTest, OversizedEntryFailsValidationAndShrinks) {
+  ScriptedClock clock;
+  // The right count is 1,000 iterations of 1 us for a 1 ms interval; the
+  // entry holds 10x that (the key names no args, so lat_mem_rd at a larger
+  // --size finds a smaller size's count).  Its probe spans 12 ms.
+  constexpr Nanos kPerOp = 1000;
+  CalibrationCache cache;
+  TimingPolicy policy;
+  policy.min_interval = kMillisecond;
+  policy.warmup_runs = 0;
+  std::vector<std::uint64_t> probes;
+  BenchFn fn = [&](std::uint64_t iters) {
+    probes.push_back(iters);
+    clock.advance(static_cast<Nanos>(iters) * kPerOp);
+  };
+  {
+    CalibrationScope scope(&cache, "bench");
+    cache.put(scope.next_key(policy.min_interval), CalEntry{12'000, policy.min_interval});
+  }
+  CalibrationScope scope(&cache, "bench");
+  Measurement m = measure(fn, policy, clock);
+  EXPECT_FALSE(m.calibration_cached);
+  EXPECT_EQ(scope.hits(), 0);
+  EXPECT_EQ(scope.misses(), 1);
+  EXPECT_DOUBLE_EQ(m.ns_per_op, static_cast<double>(kPerOp));
+  // The long probe spans a full interval, so it stays repetition 1; every
+  // later interval runs at the count rescaled to 1.2 x min_interval.
+  ASSERT_GE(probes.size(), 2u);
+  EXPECT_EQ(probes[0], 12'000u);
+  for (size_t i = 1; i < probes.size(); ++i) {
+    EXPECT_EQ(probes[i], 1'200u) << "interval " << i;
+  }
+  EXPECT_EQ(m.iterations, 1'200u);
+  auto refreshed = cache.find("bench#0@" + std::to_string(policy.min_interval));
+  ASSERT_TRUE(refreshed.has_value());
+  EXPECT_EQ(refreshed->iterations, 1'200u);
+}
+
+TEST(MeasureCacheTest, OneIterationEntryStaysAHitHoweverLong) {
+  ScriptedClock clock;
+  // One call takes 10 ms against a 1 ms interval: the count cannot shrink.
+  CalibrationCache cache;
+  TimingPolicy policy;
+  policy.min_interval = kMillisecond;
+  policy.warmup_runs = 0;
+  BenchFn fn = [&](std::uint64_t iters) {
+    clock.advance(static_cast<Nanos>(iters) * 10 * kMillisecond);
+  };
+  {
+    CalibrationScope scope(&cache, "bench");
+    cache.put(scope.next_key(policy.min_interval), CalEntry{1, policy.min_interval});
+  }
+  CalibrationScope scope(&cache, "bench");
+  Measurement m = measure(fn, policy, clock);
+  EXPECT_TRUE(m.calibration_cached);
+  EXPECT_EQ(m.iterations, 1u);
+  EXPECT_EQ(scope.hits(), 1);
+  EXPECT_EQ(scope.misses(), 0);
+}
+
 TEST(MeasureCacheTest, PolicyIntervalChangeMissesInsteadOfReusing) {
   ScriptedClock clock;
   BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 100); };

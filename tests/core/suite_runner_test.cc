@@ -73,6 +73,40 @@ TEST(SuiteRunnerTest, CategoryFilterAndExplicitNames) {
   EXPECT_THROW(runner.run(unknown), std::invalid_argument);
 }
 
+TEST(SuiteRunnerTest, PlanEntriesRunWithTheirArgsAndCarryThem) {
+  Registry reg;
+  reg.add(make("echo", "latency", [](const Options& opts) {
+    RunResult r;
+    r.add("size", static_cast<double>(opts.get_size("size", 1)), "count");
+    r.metadata["quick"] = opts.quick() ? "yes" : "no";
+    return r;
+  }));
+  SuiteRunner runner(reg);
+  SuiteConfig config;
+  config.options = Options::from_pairs({{"quick", "true"}, {"size", "2"}});
+  config.names = {"echo"};
+  config.entries = {{"echo", {"--size=4k"}}, {"echo", {"--size=8", "--quick=false"}}};
+  std::vector<RunResult> results = runner.run(config);
+  ASSERT_EQ(results.size(), 3u);
+  // A bare name runs with the suite's options and records no args, so its
+  // result is what it was before entries existed.
+  EXPECT_EQ(*results[0].metric("size"), 2.0);
+  EXPECT_EQ(results[0].metadata.count("args"), 0u);
+  EXPECT_EQ(results[0].metadata.at("quick"), "yes");
+  // An entry's args override the suite's options and ride along.
+  EXPECT_EQ(*results[1].metric("size"), 4096.0);
+  EXPECT_EQ(results[1].metadata.at("args"), "--size=4k");
+  EXPECT_EQ(results[1].metadata.at("quick"), "yes");
+  EXPECT_EQ(*results[2].metric("size"), 8.0);
+  EXPECT_EQ(results[2].metadata.at("args"), "--size=8 --quick=false");
+  EXPECT_EQ(results[2].metadata.at("quick"), "no");
+
+  config.entries = {{"echo", {"size=1"}}};
+  EXPECT_THROW(runner.run(config), std::invalid_argument);
+  config.entries = {{"nope", {}}};
+  EXPECT_THROW(runner.run(config), std::invalid_argument);
+}
+
 TEST(SuiteRunnerTest, ThrowingBenchmarkDoesNotStopTheSuite) {
   Registry reg;
   reg.add(make("bad", "latency", [](const Options&) -> RunResult {

@@ -53,14 +53,5 @@ TEST(LatCtxTest, ConfigValidation) {
   EXPECT_THROW(measure_ctx(bad), std::invalid_argument);
 }
 
-TEST(LatCtxTest, SweepCoversTheGrid) {
-  auto results = sweep_ctx({2, 4}, {0, 16 << 10}, CtxConfig::quick());
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].processes, 2);
-  EXPECT_EQ(results[0].footprint_bytes, 0u);
-  EXPECT_EQ(results[3].processes, 4);
-  EXPECT_EQ(results[3].footprint_bytes, 16u << 10);
-}
-
 }  // namespace
 }  // namespace lmb::lat

@@ -89,6 +89,29 @@ TEST_F(BenchServiceTest, UnknownBenchmarkIsAUsageErrorBeforeAnythingRuns) {
   EXPECT_EQ(service.completed_runs(), 0);
 }
 
+TEST_F(BenchServiceTest, RunsAPlanOfEntriesInOneBatch) {
+  Registry registry = make_registry();
+  BenchService service(registry);
+  RunRequest req = base_request();
+  req.entries = {{"fake_lat", {"--msg=8"}}, {"fake_bw", {}}};
+  std::vector<ServiceEvent> starts;
+  RunArtifacts artifacts = service.run(req, [&](const ServiceEvent& event) {
+    if (event.kind == ServiceEvent::Kind::kSuiteStart) {
+      starts.push_back(event);
+    }
+  });
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_EQ(starts[0].total, 4);
+  ASSERT_EQ(artifacts.batch.results.size(), 4u);
+  EXPECT_EQ(artifacts.batch.results[2].metadata.at("args"), "--msg=8");
+  EXPECT_EQ(artifacts.batch.results[3].metadata.count("args"), 0u);
+  EXPECT_EQ(service.completed_runs(), 1);
+
+  req.entries = {{"no_such_bench", {}}};
+  EXPECT_THROW(service.run(req), UsageError);
+  EXPECT_EQ(service.completed_runs(), 1);
+}
+
 TEST_F(BenchServiceTest, EmptyCategoryMatchIsAUsageError) {
   Registry registry = make_registry();
   BenchService service(registry);
