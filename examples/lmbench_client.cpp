@@ -38,6 +38,7 @@
 // connect timeout, mid-frame stall).
 #include <cerrno>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "src/core/options.h"
@@ -135,7 +136,8 @@ double num_or(const JsonObject& obj, const char* key, double fallback) {
 }
 
 int do_watch(lmb::svc::Client& client, const lmb::Options& opts) {
-  const int frames = static_cast<int>(opts.get_int("frames", 0));
+  const int frames = opts.get_int_in("frames", 0, std::numeric_limits<int>::min(),
+                                     std::numeric_limits<int>::max());
   const int got = client.watch(
       [](const JsonValue& frame) {
         const JsonObject& obj = frame.object();
@@ -192,9 +194,11 @@ int main(int argc, char** argv) try {
                  "[--socket=PATH] [--connect-timeout=MS] [suite flags...]\n");
     return 2;
   }
+  constexpr int kIntMin = std::numeric_limits<int>::min();
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   lmb::svc::Client client(opts.get_string("socket", "lmbenchd.sock"),
-                          static_cast<int>(opts.get_int("connect-timeout", 2000)),
-                          static_cast<int>(opts.get_int("io-timeout", 10'000)));
+                          opts.get_int_in("connect-timeout", 2000, kIntMin, kIntMax),
+                          opts.get_int_in("io-timeout", 10'000, kIntMin, kIntMax));
 
   try {
     if (op == "submit") {

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -122,18 +123,13 @@ IpcBwResult measure_tcp_bw(const IpcBwConfig& config) {
   validate(config);
   Sample mbps;
   for (int rep = 0; rep < config.repetitions; ++rep) {
-    sys::TcpListener listener;
+    // Both ends size their buffers before the handshake (§5.2).
+    sys::TcpListener listener(/*backlog=*/16, config.socket_buffer_bytes);
     sys::Child child = sys::fork_child([&]() {
       sys::TcpStream conn = listener.accept();
-      if (config.socket_buffer_bytes > 0) {
-        conn.set_buffer_sizes(config.socket_buffer_bytes);
-      }
       return reader_loop(conn.fd(), conn.fd(), config.total_bytes, config.chunk_bytes);
     });
-    sys::TcpStream conn = sys::TcpStream::connect(listener.port());
-    if (config.socket_buffer_bytes > 0) {
-      conn.set_buffer_sizes(config.socket_buffer_bytes);
-    }
+    sys::TcpStream conn = sys::TcpStream::connect(listener.port(), config.socket_buffer_bytes);
     double ns = time_one_transfer(conn.fd(), conn.fd(), config.total_bytes, config.chunk_bytes);
     if (child.wait() != 0) {
       throw std::runtime_error("tcp bandwidth reader failed");
@@ -154,7 +150,8 @@ IpcBwConfig config_from_options(const Options& opts, IpcBwConfig base) {
       opts.get_size("total", static_cast<std::int64_t>(base.total_bytes)));
   base.chunk_bytes = static_cast<size_t>(
       opts.get_size("chunk", static_cast<std::int64_t>(base.chunk_bytes)));
-  base.repetitions = static_cast<int>(opts.get_int("reps", base.repetitions));
+  base.repetitions =
+      opts.get_int_in("reps", base.repetitions, 1, std::numeric_limits<int>::max());
   return base;
 }
 

@@ -32,12 +32,6 @@ struct IpcBwConfig {
     c.socket_buffer_bytes = 1 << 20;
     return c;
   }
-  static IpcBwConfig quick() {
-    IpcBwConfig c;
-    c.total_bytes = 4u << 20;
-    c.repetitions = 2;
-    return c;
-  }
 };
 
 struct IpcBwResult {

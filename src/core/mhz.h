@@ -15,9 +15,6 @@ namespace lmb {
 struct CpuClock {
   double mhz = 0.0;        // estimated core frequency
   double period_ns = 0.0;  // one cycle, in ns
-
-  // Rounds a latency to whole clocks (Table 6's "Clk" columns).
-  double clocks(double ns) const { return period_ns > 0 ? ns / period_ns : 0.0; }
 };
 
 // Estimates the clock by timing a long dependent-add chain.

@@ -132,12 +132,4 @@ double Sample::ci_half_width(double confidence) const {
   return t * stddev() / std::sqrt(static_cast<double>(n));
 }
 
-double Sample::coefficient_of_variation() const {
-  double m = mean();
-  if (m == 0.0) {
-    return 0.0;
-  }
-  return stddev() / m;
-}
-
 }  // namespace lmb

@@ -28,8 +28,6 @@ class Sample {
   double stddev() const;
   // Linear-interpolated percentile, p in [0, 100].
   double percentile(double p) const;
-  // stddev / mean; 0 when mean is 0.
-  double coefficient_of_variation() const;
   // Half-width of the two-sided Student-t confidence interval on the mean:
   // t(confidence, n-1) * stddev / sqrt(n).  Benchmark repetition counts are
   // small (3..11), where the t correction matters — a z-based interval

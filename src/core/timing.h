@@ -88,13 +88,6 @@ struct TimingPolicy {
   // Defaults tuned to the paper's accuracy goals, with adaptive early stop.
   static TimingPolicy standard() { return TimingPolicy{}; }
 
-  // The paper's fixed policy: every repetition always runs.
-  static TimingPolicy fixed() {
-    TimingPolicy p;
-    p.convergence = 0.0;
-    return p;
-  }
-
   // Cheap settings for CI and tests: 1 ms intervals, the floor of
   // DESIGN.md's rule, and at most 3 repetitions.  At 1 ms the gate above
   // kept 21 of its 24 numbers within 5% of their 10 ms value; lat_unix,

@@ -346,7 +346,7 @@ std::string render_fig1(Context& c) {
     xs.push_back(static_cast<double>(size));
     grid.push_back({text(size_arg(size))});
     for (size_t stride : s.fig1_strides) {
-      // sweep_mem_latency's rule: a chain needs at least two slots.
+      // A chain needs at least two slots; a larger stride has no cell.
       grid.back().push_back(size / stride >= 2 ? c.cell(mem_entry(size, stride, false), "ns")
                                                : text(""));
     }
@@ -412,6 +412,14 @@ std::string render_t6(Context& c) {
   if (l2 != nullptr && period.has_value() && *period > 0) {
     l2_clocks = l2->latency_ns / *period;
   }
+  // Section 7's automatic sizing, from this extraction; no line without a
+  // detected level.
+  std::string autosize;
+  if (l1 != nullptr) {
+    autosize = "automatic sizing (section 7): " +
+               std::to_string(lat::autosize_beyond_cache(*hierarchy) >> 20) +
+               " MB buffers, 4x the largest detected cache and at least 8 MB\n";
+  }
   return with_measured(
              paper_rows("Table 6. Cache and memory latency (ns)",
                         {{"System", 0}, {"Clk", 1}, {"L1 lat", 1}, {"L1 size", 0},
@@ -427,7 +435,7 @@ std::string render_t6(Context& c) {
          "\ncpu clock: " + num(c.value("mhz", "mhz"), 0) + " MHz (" + num(period, 2) +
          " ns/cycle); detected cache levels: " + num(levels, 0) +
          "; estimated line size: " + num(line, 0) + " bytes\nL2 latency in clocks: " +
-         num(l2_clocks, 1) + " (paper: 5-6 clocks on Pentium Pro, 1 on HP/IBM)\n";
+         num(l2_clocks, 1) + " (paper: 5-6 clocks on Pentium Pro, 1 on HP/IBM)\n" + autosize;
 }
 
 std::string render_t7(Context& c) {

@@ -19,7 +19,8 @@ namespace lmb::lat {
 namespace {
 
 void validate(const CtxConfig& config) {
-  if (config.processes < 2 || config.processes > 64) {
+  if (config.processes < CtxConfig::kMinProcesses ||
+      config.processes > CtxConfig::kMaxProcesses) {
     throw std::invalid_argument("CtxConfig: processes must be in [2, 64]");
   }
   if (config.token_passes < 1 || config.repetitions < 1) {
@@ -156,7 +157,8 @@ const BenchmarkRegistrar registrar{{
     .run =
         [](const Options& opts) {
           CtxConfig cfg = opts.quick() ? CtxConfig::quick() : CtxConfig{};
-          cfg.processes = static_cast<int>(opts.get_int("procs", cfg.processes));
+          cfg.processes = opts.get_int_in("procs", cfg.processes, CtxConfig::kMinProcesses,
+                                          CtxConfig::kMaxProcesses);
           cfg.footprint_bytes =
               static_cast<size_t>(opts.get_size("size", static_cast<std::int64_t>(cfg.footprint_bytes)));
           CtxResult r = measure_ctx(cfg);

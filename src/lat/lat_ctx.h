@@ -19,6 +19,8 @@ namespace lmb::lat {
 struct CtxConfig {
   // Ring size, including the parent (paper: 2 to 20).
   int processes = 2;
+  static constexpr int kMinProcesses = 2;
+  static constexpr int kMaxProcesses = 64;
   // Per-process array summed on each token receipt (paper: 0 to 64 KB).
   size_t footprint_bytes = 0;
   // Total token hops per timed run (paper: 2000).

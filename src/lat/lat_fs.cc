@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <limits>
 #include <optional>
 #include <stdexcept>
 
@@ -92,7 +93,8 @@ const BenchmarkRegistrar registrar{{
     .run =
         [](const Options& opts) {
           FsLatConfig cfg = opts.quick() ? FsLatConfig::quick() : FsLatConfig{};
-          cfg.file_count = static_cast<int>(opts.get_int("files", cfg.file_count));
+          cfg.file_count =
+              opts.get_int_in("files", cfg.file_count, 1, std::numeric_limits<int>::max());
           cfg.dir = opts.get_string("dir", cfg.dir);
           FsLatResult r = measure_fs_latency(cfg);
           RunResult out;

@@ -37,6 +37,7 @@
 // lat_rpc_n only:
 //   --work=ITERS      server-side CPU iterations per request (1000)
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,7 +99,8 @@ LoadFlags flags_from(const Options& opts, std::uint32_t default_msg) {
     f.sim_reqs = 20;
   }
   f.msg = default_msg;
-  f.connections = static_cast<int>(opts.get_int("connections", f.connections));
+  f.connections =
+      opts.get_int_in("connections", f.connections, 1, std::numeric_limits<int>::max());
   f.duration = opts.get_int("duration", f.duration / kMillisecond) * kMillisecond;
   f.think = opts.get_int("think", 0) * kMicrosecond;
   f.rate = opts.get_double("rate", 0.0);

@@ -138,28 +138,32 @@ MemLatPoint measure_mem_latency(const MemLatConfig& config) {
   return point;
 }
 
-std::vector<MemLatPoint> sweep_mem_latency(const MemLatSweepConfig& config) {
-  if (config.min_bytes == 0 || config.min_bytes > config.max_bytes) {
-    throw std::invalid_argument("sweep_mem_latency: bad size range");
+namespace {
+
+// The point both walks measure: --size, --stride and --random.
+MemLatConfig config_from_options(const Options& opts) {
+  MemLatConfig cfg;
+  cfg.array_bytes =
+      static_cast<size_t>(opts.get_size("size", opts.quick() ? (1 << 20) : (8 << 20)));
+  cfg.stride_bytes = static_cast<size_t>(opts.get_size("stride", 64));
+  if (opts.get_bool("random")) {
+    cfg.order = ChaseOrder::kRandom;
   }
-  std::vector<MemLatPoint> points;
-  for (size_t stride : config.strides) {
-    for (size_t size = config.min_bytes; size <= config.max_bytes; size *= 2) {
-      if (size / stride < 2) {
-        continue;  // stride larger than the array; no chain possible
-      }
-      MemLatConfig cfg;
-      cfg.array_bytes = size;
-      cfg.stride_bytes = stride;
-      cfg.order = config.order;
-      cfg.policy = config.policy;
-      points.push_back(measure_mem_latency(cfg));
-    }
+  if (opts.quick()) {
+    cfg.policy = TimingPolicy::quick();
   }
-  return points;
+  return cfg;
 }
 
-namespace {
+RunResult point_result(const MemLatConfig& cfg, const MemLatPoint& p) {
+  RunResult r;
+  r.add("ns", p.ns_per_load, "ns");
+  r.metadata["bytes"] = std::to_string(cfg.array_bytes);
+  r.metadata["stride"] = std::to_string(cfg.stride_bytes);
+  r.metadata["order"] = cfg.order == ChaseOrder::kRandom ? "random" : "stride";
+  r.display = report::format_number(p.ns_per_load, 1) + " ns per load";
+  return r;
+}
 
 const BenchmarkRegistrar registrar{{
     .name = "lat_mem_rd",
@@ -167,24 +171,19 @@ const BenchmarkRegistrar registrar{{
     .description = "back-to-back memory load latency (Figure 1)",
     .run =
         [](const Options& opts) {
-          MemLatConfig cfg;
-          cfg.array_bytes = static_cast<size_t>(
-              opts.get_size("size", opts.quick() ? (1 << 20) : (8 << 20)));
-          cfg.stride_bytes = static_cast<size_t>(opts.get_size("stride", 64));
-          if (opts.get_bool("random")) {
-            cfg.order = ChaseOrder::kRandom;
-          }
-          if (opts.quick()) {
-            cfg.policy = TimingPolicy::quick();
-          }
-          MemLatPoint p = measure_mem_latency(cfg);
-          RunResult r;
-          r.add("ns", p.ns_per_load, "ns");
-          r.metadata["bytes"] = std::to_string(cfg.array_bytes);
-          r.metadata["stride"] = std::to_string(cfg.stride_bytes);
-          r.metadata["order"] = cfg.order == ChaseOrder::kRandom ? "random" : "stride";
-          r.display = report::format_number(p.ns_per_load, 1) + " ns per load";
-          return r;
+          MemLatConfig cfg = config_from_options(opts);
+          return point_result(cfg, measure_mem_latency(cfg));
+        },
+}};
+
+const BenchmarkRegistrar dirty_registrar{{
+    .name = "lat_mem_rd_dirty",
+    .category = "latency",
+    .description = "dirty (read-modify-write) memory load latency (section 7 extension)",
+    .run =
+        [](const Options& opts) {
+          MemLatConfig cfg = config_from_options(opts);
+          return point_result(cfg, measure_mem_latency_dirty(cfg));
         },
 }};
 

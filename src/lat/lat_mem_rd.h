@@ -43,18 +43,6 @@ struct MemLatPoint {
 // One (size, stride) point.
 MemLatPoint measure_mem_latency(const MemLatConfig& config);
 
-// The Figure-1 sweep: sizes from `min_bytes` to `max_bytes` (powers of two),
-// one series per stride.  Returns points grouped by stride then size.
-struct MemLatSweepConfig {
-  size_t min_bytes = 512;
-  size_t max_bytes = 8u << 20;
-  std::vector<size_t> strides = {16, 32, 64, 128, 256, 512};
-  ChaseOrder order = ChaseOrder::kStrideBackward;
-  TimingPolicy policy = TimingPolicy::quick();
-};
-
-std::vector<MemLatPoint> sweep_mem_latency(const MemLatSweepConfig& config);
-
 // Builds the chase chain into `slots` (an array of indices): slot i holds
 // the index of the next slot to visit.  Exposed for property tests — the
 // chain must be a single cycle covering every slot exactly once.

@@ -43,7 +43,8 @@ size_t estimate_line_size(const std::vector<MemLatPoint>& points);
 
 // §7 "Automatic sizing": a buffer size guaranteed to defeat every detected
 // cache level — `factor` times the largest cache, at least `minimum`.
-// Replaces the suite's hardcoded 8 MB once a hierarchy has been measured.
+// Table 6 prints it under the extraction; the suite's buffers are still a
+// fixed 8 MB.
 size_t autosize_beyond_cache(const MemHierarchy& hierarchy, size_t factor = 4,
                              size_t minimum = 8u << 20);
 

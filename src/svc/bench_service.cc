@@ -1,6 +1,7 @@
 #include "src/svc/bench_service.h"
 
 #include <filesystem>
+#include <limits>
 
 #include "src/core/env.h"
 #include "src/core/suite_runner.h"
@@ -43,7 +44,8 @@ RunRequest RunRequest::from_options(const Options& opts) {
   RunRequest req;
   req.category = opts.get_string("category", "");
   req.names = opts.get_list("only");
-  req.jobs = static_cast<int>(opts.get_int("jobs", 1));
+  req.jobs = opts.get_int_in("jobs", 1, std::numeric_limits<int>::min(),
+                             std::numeric_limits<int>::max());
   req.timeout_sec = opts.get_double("timeout", 0.0);
   req.counters = opts.get_bool("counters");
   try {

@@ -28,6 +28,17 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   return addr;
 }
 
+// SO_SNDBUF/SO_RCVBUF; 0 keeps the system default and makes no syscall.
+void set_buffer_sizes(int fd, int bytes) {
+  if (bytes == 0) {
+    return;
+  }
+  check_syscall(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)),
+                "setsockopt SO_SNDBUF");
+  check_syscall(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)),
+                "setsockopt SO_RCVBUF");
+}
+
 std::uint16_t bound_port(int fd) {
   sockaddr_in addr;
   socklen_t len = sizeof(addr);
@@ -37,11 +48,12 @@ std::uint16_t bound_port(int fd) {
 
 }  // namespace
 
-TcpStream TcpStream::connect(std::uint16_t port) {
+TcpStream TcpStream::connect(std::uint16_t port, int buffer_bytes) {
   UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd) {
     throw_errno("socket");
   }
+  set_buffer_sizes(fd.get(), buffer_bytes);
   sockaddr_in addr = loopback_addr(port);
   check_syscall(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), "connect");
   return TcpStream(std::move(fd));
@@ -51,13 +63,6 @@ void TcpStream::set_nodelay(bool on) {
   int v = on ? 1 : 0;
   check_syscall(::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &v, sizeof(v)),
                 "setsockopt TCP_NODELAY");
-}
-
-void TcpStream::set_buffer_sizes(int bytes) {
-  check_syscall(::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)),
-                "setsockopt SO_SNDBUF");
-  check_syscall(::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)),
-                "setsockopt SO_RCVBUF");
 }
 
 void TcpStream::send_all(const void* buf, size_t len) { write_full(fd_.get(), buf, len); }
@@ -96,13 +101,14 @@ void set_tcp_nodelay(int fd, bool on) {
                 "setsockopt TCP_NODELAY");
 }
 
-TcpListener::TcpListener(int backlog) : TcpListener(backlog, 0, /*reuseport=*/false) {}
+TcpListener::TcpListener(int backlog, int buffer_bytes)
+    : TcpListener(backlog, buffer_bytes, 0, /*reuseport=*/false) {}
 
 TcpListener TcpListener::with_reuseport(std::uint16_t port, int backlog) {
-  return TcpListener(backlog, port, /*reuseport=*/true);
+  return TcpListener(backlog, 0, port, /*reuseport=*/true);
 }
 
-TcpListener::TcpListener(int backlog, std::uint16_t port, bool reuseport) {
+TcpListener::TcpListener(int backlog, int buffer_bytes, std::uint16_t port, bool reuseport) {
   fd_.reset(static_cast<int>(check_syscall(::socket(AF_INET, SOCK_STREAM, 0), "socket")));
   int one = 1;
   check_syscall(::setsockopt(fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)),
@@ -111,6 +117,7 @@ TcpListener::TcpListener(int backlog, std::uint16_t port, bool reuseport) {
     check_syscall(::setsockopt(fd_.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)),
                   "setsockopt SO_REUSEPORT");
   }
+  set_buffer_sizes(fd_.get(), buffer_bytes);
   sockaddr_in addr = loopback_addr(port);
   check_syscall(::bind(fd_.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), "bind");
   check_syscall(::listen(fd_.get(), backlog), "listen");

@@ -22,16 +22,18 @@ class TcpStream {
   TcpStream() = default;
   explicit TcpStream(UniqueFd fd) : fd_(std::move(fd)) {}
 
-  // Connects to 127.0.0.1:port; throws on failure.
-  static TcpStream connect(std::uint16_t port);
+  // Connects to 127.0.0.1:port; throws on failure.  A nonzero
+  // `buffer_bytes` sets SO_SNDBUF/SO_RCVBUF before connect(2), as lmbench
+  // does (the paper enlarges both to 1M for bandwidth).  Set after the
+  // handshake, the window scale is already negotiated for the default
+  // buffer: 2 MB through 16 KB buffers then took seconds, not milliseconds.
+  static TcpStream connect(std::uint16_t port, int buffer_bytes = 0);
 
   int fd() const { return fd_.get(); }
   bool valid() const { return fd_.valid(); }
 
   // Disables Nagle (latency benchmarks need immediate sends).
   void set_nodelay(bool on);
-  // Sets SO_SNDBUF / SO_RCVBUF (paper enlarges both to 1M for bandwidth).
-  void set_buffer_sizes(int bytes);
 
   void send_all(const void* buf, size_t len);
   void recv_all(void* buf, size_t len);
@@ -61,8 +63,10 @@ void set_tcp_nodelay(int fd, bool on = true);
 // A listening TCP socket on 127.0.0.1 with an ephemeral port.
 class TcpListener {
  public:
-  // `backlog` as for listen(2).
-  explicit TcpListener(int backlog = 16);
+  // `backlog` as for listen(2).  A nonzero `buffer_bytes` sets
+  // SO_SNDBUF/SO_RCVBUF before listen(2); accepted sockets inherit them
+  // (see TcpStream::connect for why the order matters).
+  explicit TcpListener(int backlog = 16, int buffer_bytes = 0);
 
   // A listener with SO_REUSEPORT set before bind.  N such listeners bound
   // to the same port give the kernel N independent accept queues and a
@@ -79,7 +83,7 @@ class TcpListener {
   TcpStream accept();
 
  private:
-  TcpListener(int backlog, std::uint16_t port, bool reuseport);
+  TcpListener(int backlog, int buffer_bytes, std::uint16_t port, bool reuseport);
 
   UniqueFd fd_;
   std::uint16_t port_ = 0;

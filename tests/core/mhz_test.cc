@@ -21,14 +21,5 @@ TEST(MhzTest, EstimateIsPlausible) {
   EXPECT_NEAR(clock.period_ns * clock.mhz, 1000.0, 1e-6);
 }
 
-TEST(MhzTest, ClocksConversion) {
-  CpuClock clock;
-  clock.period_ns = 2.0;
-  clock.mhz = 500.0;
-  EXPECT_DOUBLE_EQ(clock.clocks(10.0), 5.0);
-  CpuClock zero;
-  EXPECT_DOUBLE_EQ(zero.clocks(10.0), 0.0);
-}
-
 }  // namespace
 }  // namespace lmb

@@ -112,18 +112,8 @@ TEST(SampleTest, AddInvalidatesSortCache) {
   EXPECT_DOUBLE_EQ(s.median(), 3.0);
 }
 
-TEST(SampleTest, CoefficientOfVariation) {
-  Sample constant({5.0, 5.0, 5.0});
-  EXPECT_DOUBLE_EQ(constant.coefficient_of_variation(), 0.0);
-  Sample zero_mean({-1.0, 1.0});
-  EXPECT_DOUBLE_EQ(zero_mean.coefficient_of_variation(), 0.0);  // guarded
-  Sample s({4.0, 6.0});
-  EXPECT_NEAR(s.coefficient_of_variation(), std::sqrt(2.0) / 5.0, 1e-12);
-}
-
 // Regression: stddev must be exactly 0 (not NaN/inf from a 0/0 or 1/0) for
-// degenerate sample sizes, so coefficient_of_variation and serialized
-// output stay finite.
+// degenerate sample sizes, so serialized output stays finite.
 TEST(SampleTest, StddevOfDegenerateSamplesIsZeroNotNan) {
   Sample empty;
   EXPECT_DOUBLE_EQ(empty.stddev(), 0.0);
@@ -133,8 +123,6 @@ TEST(SampleTest, StddevOfDegenerateSamplesIsZeroNotNan) {
   one.add(123.456);
   EXPECT_DOUBLE_EQ(one.stddev(), 0.0);
   EXPECT_TRUE(std::isfinite(one.stddev()));
-  EXPECT_TRUE(std::isfinite(one.coefficient_of_variation()));
-  EXPECT_DOUBLE_EQ(one.coefficient_of_variation(), 0.0);
 }
 
 TEST(SampleTest, CiHalfWidthSmallSamples) {

@@ -62,7 +62,8 @@ TEST(MeasureTest, ReportsPerOperationTime) {
   ScriptedClock clock;
   constexpr Nanos kPerOp = 250;
   BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * kPerOp); };
-  TimingPolicy policy = TimingPolicy::fixed();  // paper mode: all reps always run
+  TimingPolicy policy;
+  policy.convergence = 0.0;  // paper mode: all reps always run
   policy.min_interval = kMillisecond;
   policy.repetitions = 5;
   Measurement m = measure(fn, policy, clock);
@@ -187,7 +188,8 @@ TEST(EarlyStopTest, NoisySampleRunsToTheCap) {
 TEST(EarlyStopTest, ConvergenceZeroRestoresFixedPolicy) {
   ScriptedClock clock;
   BenchFn fn = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 400); };
-  TimingPolicy policy = TimingPolicy::fixed();
+  TimingPolicy policy;
+  policy.convergence = 0.0;
   policy.min_interval = kMillisecond;
   policy.repetitions = 7;
   Measurement m = measure(fn, policy, clock);

@@ -161,6 +161,31 @@ INSTANTIATE_TEST_SUITE_P(QuickAndFull, PaperTablesTest, ::testing::Bool(),
                            return std::string(info.param ? "Quick" : "Full");
                          });
 
+// Section 7's automatic sizing is a footnote under Table 6, computed from
+// the batch's own extraction: 4x the largest detected cache, at least 8 MB.
+TEST(PaperTable6Test, AutosizingFootnoteFollowsTheExtraction) {
+  report::ResultBatch batch = synthetic_batch(true);
+  // Stretch the synthetic 2 MB level to 4 MB.
+  for (RunResult& r : batch.results) {
+    if (r.name == "lat_mem_rd" && r.metadata["args"] == "--random --size=4m --stride=64") {
+      r.metrics[0].value = 20;
+    }
+  }
+  EXPECT_NE(render_paper(batch, {"6"})
+                .find("automatic sizing (section 7): 16 MB buffers, 4x the largest detected "
+                      "cache and at least 8 MB\n"),
+            std::string::npos)
+      << render_paper(batch, {"6"});
+
+  // Without the whole curve there is no extraction, and no footnote.
+  auto curve_point = std::find_if(batch.results.begin(), batch.results.end(), [](RunResult& r) {
+    return r.name == "lat_mem_rd" && r.metadata["args"] == "--random --size=1k --stride=64";
+  });
+  ASSERT_NE(curve_point, batch.results.end());
+  batch.results.erase(curve_point);
+  EXPECT_EQ(render_paper(batch, {"6"}).find("automatic sizing"), std::string::npos);
+}
+
 TEST(PaperPlanTest, EachNumberIsMeasuredOnce) {
   for (bool quick : {true, false}) {
     std::vector<PlanEntry> plan = paper_plan(quick);

@@ -6,6 +6,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "src/core/options.h"
@@ -57,11 +58,19 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, SuiteTest, ::testing::ValuesIn(all_bench
                          });
 
 // A count flag is range-checked as the parsed 64-bit value before it is
-// narrowed to int: --n=4294967297 must not wrap to 1 and report ok.
+// narrowed to int: --n=4294967297 must not wrap to 1 and report ok, nor
+// --procs=4294967298 to 2 and run a 2-process ring.  Every value tried
+// throws before the benchmark starts a process.
 struct CountFlag {
   const char* bench;
-  std::int64_t max;
+  const char* key;
+  std::int64_t lo;
+  std::int64_t hi;
 };
+
+void PrintTo(const CountFlag& flag, std::ostream* os) {
+  *os << flag.bench << " --" << flag.key << " [" << flag.lo << ", " << flag.hi << "]";
+}
 
 class CountFlagTest : public ::testing::TestWithParam<CountFlag> {};
 
@@ -71,15 +80,18 @@ Options parse_flag(const std::string& arg) {
 }
 
 TEST_P(CountFlagTest, OutOfRangeThrowsNamingKeyAndRange) {
-  const BenchmarkInfo* info = Registry::global().find(GetParam().bench);
+  const CountFlag& flag = GetParam();
+  const BenchmarkInfo* info = Registry::global().find(flag.bench);
   ASSERT_NE(info, nullptr);
-  const std::string range = "[1, " + std::to_string(GetParam().max) + "]";
-  for (std::int64_t n : {std::int64_t{0}, GetParam().max + 1, (std::int64_t{1} << 32) + 1}) {
+  const std::string key = std::string("--") + flag.key;
+  const std::string range = "[" + std::to_string(flag.lo) + ", " + std::to_string(flag.hi) + "]";
+  // Below, above, and one that wraps to the lowest valid count.
+  for (std::int64_t n : {flag.lo - 1, flag.hi + 1, (std::int64_t{1} << 32) + flag.lo}) {
     try {
-      info->run(parse_flag("--n=" + std::to_string(n)));
-      ADD_FAILURE() << info->name << " accepted --n=" << n;
+      info->run(parse_flag(key + "=" + std::to_string(n)));
+      ADD_FAILURE() << info->name << " accepted " << key << "=" << n;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
       EXPECT_NE(std::string(e.what()).find(range), std::string::npos) << e.what();
     }
   }
@@ -87,9 +99,17 @@ TEST_P(CountFlagTest, OutOfRangeThrowsNamingKeyAndRange) {
 
 INSTANTIATE_TEST_SUITE_P(
     RangeCheckedCounts, CountFlagTest,
-    ::testing::Values(CountFlag{"lat_connect", 128}, CountFlag{"lat_select", FD_SETSIZE},
-                      CountFlag{"lat_fork", INT_MAX}, CountFlag{"lat_exec", INT_MAX},
-                      CountFlag{"lat_sh", INT_MAX}),
+    ::testing::Values(CountFlag{"lat_connect", "n", 1, 128},
+                      CountFlag{"lat_select", "n", 1, FD_SETSIZE},
+                      CountFlag{"lat_fork", "n", 1, INT_MAX},
+                      CountFlag{"lat_exec", "n", 1, INT_MAX},
+                      CountFlag{"lat_sh", "n", 1, INT_MAX},
+                      CountFlag{"lat_ctx", "procs", 2, 64},
+                      CountFlag{"bw_pipe", "reps", 1, INT_MAX},
+                      CountFlag{"bw_tcp", "reps", 1, INT_MAX},
+                      CountFlag{"bw_unix", "reps", 1, INT_MAX},
+                      CountFlag{"lat_fs", "files", 1, INT_MAX},
+                      CountFlag{"lat_tcp_n", "connections", 1, INT_MAX}),
     [](const ::testing::TestParamInfo<CountFlag>& info) { return std::string(info.param.bench); });
 
 TEST(CountFlagCapTest, LatConnectRunsAtItsCap) {

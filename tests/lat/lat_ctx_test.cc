@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/core/on_one_cpu.h"
+
 namespace lmb::lat {
 namespace {
 
@@ -31,6 +33,8 @@ TEST(LatCtxTest, LargerRingsStillComplete) {
 }
 
 TEST(LatCtxTest, FootprintIncreasesRawHopCost) {
+  OnOneCpu one_cpu;  // both rings at one placement
+  ASSERT_TRUE(one_cpu.pinned());
   CtxResult small = measure_ctx(tiny(2, 0));
   CtxResult big = measure_ctx(tiny(2, 64 << 10));
   // Summing 64KB per hop must cost more than summing nothing.

@@ -1,12 +1,11 @@
 #include "src/lat/lat_ipc.h"
 
 #include <gtest/gtest.h>
-#include <sched.h>
 
 #include <algorithm>
 #include <limits>
 
-#include "src/core/topology.h"
+#include "tests/core/on_one_cpu.h"
 
 namespace lmb::lat {
 namespace {
@@ -36,6 +35,8 @@ TEST(LatIpcTest, UdpRoundTripWorks) {
 }
 
 TEST(LatIpcTest, PipeIsCheaperThanTcp) {
+  OnOneCpu one_cpu;
+  ASSERT_TRUE(one_cpu.pinned());
   // §6.7: "Because of the simplicity of pipes, they are frequently the
   // fastest portable communication mechanism."
   double pipe_us = measure_pipe_latency(quick()).us_per_op();
@@ -43,8 +44,11 @@ TEST(LatIpcTest, PipeIsCheaperThanTcp) {
   EXPECT_LT(pipe_us, tcp_us * 1.5);
 }
 
-// A fixed three alternating runs per side, minima compared (§3.4).
+// A fixed three alternating runs per side, minima compared (§3.4), both
+// at one placement.
 TEST(LatIpcTest, LargerMessagesCostMore) {
+  OnOneCpu one_cpu;
+  ASSERT_TRUE(one_cpu.pinned());
   IpcLatConfig small = quick();
   IpcLatConfig big = quick();
   big.message_bytes = 16384;
@@ -70,33 +74,10 @@ TEST(LatIpcTest, MessageSizeValidated) {
 // even one that lands before the acceptor child runs stays far below it.
 constexpr double kNoSynRetransmitNs = 200e6;  // a fifth of 1 s
 
-// Holds the calling thread, and so the acceptor child forked under it, on
-// the CPU it runs on.  The child then cannot accept before the connect loop
-// blocks, so every connect must fit in the listen backlog.  That is the
-// worst case, which a multi-CPU host produces only when the child happens
-// to start late.
-class OnOneCpu {
- public:
-  OnOneCpu() {
-    CPU_ZERO(&saved_);
-    pinned_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0 &&
-              pin_current_thread(current_cpu());
-  }
-  ~OnOneCpu() {
-    if (pinned_) {
-      sched_setaffinity(0, sizeof(saved_), &saved_);
-    }
-  }
-  OnOneCpu(const OnOneCpu&) = delete;
-  OnOneCpu& operator=(const OnOneCpu&) = delete;
-
-  bool pinned() const { return pinned_; }
-
- private:
-  cpu_set_t saved_;
-  bool pinned_ = false;
-};
-
+// Pinned (OnOneCpu), the acceptor child cannot accept before the connect
+// loop blocks, so every connect must fit in the listen backlog.  That is
+// the worst case, which a multi-CPU host produces only when the child
+// happens to start late.
 TEST(LatIpcTest, ConnectLatencyUsesMinOfTwenty) {
   OnOneCpu one_cpu;
   ASSERT_TRUE(one_cpu.pinned());

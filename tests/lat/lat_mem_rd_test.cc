@@ -36,29 +36,6 @@ TEST(LatMemRdTest, ConfigValidation) {
   EXPECT_THROW(measure_mem_latency(tiny(64, 64)), std::invalid_argument);
 }
 
-TEST(LatMemRdTest, SweepEmitsPointsPerStrideAndSize) {
-  MemLatSweepConfig cfg;
-  cfg.min_bytes = 4096;
-  cfg.max_bytes = 32768;
-  cfg.strides = {64, 128};
-  cfg.policy = TimingPolicy::quick();
-  auto points = sweep_mem_latency(cfg);
-  // 4 sizes x 2 strides = 8 points.
-  ASSERT_EQ(points.size(), 8u);
-  for (const auto& p : points) {
-    EXPECT_GT(p.ns_per_load, 0.0);
-  }
-}
-
-TEST(LatMemRdTest, SweepSkipsImpossibleCombinations) {
-  MemLatSweepConfig cfg;
-  cfg.min_bytes = 512;
-  cfg.max_bytes = 512;
-  cfg.strides = {512};  // 512/512 = 1 slot: impossible
-  auto points = sweep_mem_latency(cfg);
-  EXPECT_TRUE(points.empty());
-}
-
 TEST(LatMemRdTest, DirtyChaseIsSameOrderAsCleanChase) {
   // §7 extension: the read-modify-write walk measures the same load chain
   // plus write-back pressure.  Whether write-backs surface as extra latency
@@ -89,13 +66,6 @@ TEST(ChaseDirtyTest, WalksAndMarks) {
   EXPECT_EQ(chase_dirty(&slots[0], 2), &slots[2]);
   EXPECT_EQ(slots[1], &slots[0]);  // dirtied
   EXPECT_EQ(slots[5], &slots[4]);
-}
-
-TEST(LatMemRdTest, SweepRejectsBadRange) {
-  MemLatSweepConfig cfg;
-  cfg.min_bytes = 8192;
-  cfg.max_bytes = 4096;
-  EXPECT_THROW(sweep_mem_latency(cfg), std::invalid_argument);
 }
 
 }  // namespace

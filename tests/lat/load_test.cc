@@ -213,10 +213,9 @@ TEST(LoadServerEdgeTest, EchoSurvivesOutputBackpressure) {
   cfg.epoll_mode = EpollMode::kEdge;
   LoadServer server(cfg);
 
-  sys::TcpStream c = sys::TcpStream::connect(server.port());
   // Small socket buffers: the server's flush hits EAGAIN early, so the
   // 1 MB userspace high water does the backpressure, not kernel buffering.
-  c.set_buffer_sizes(32 * 1024);
+  sys::TcpStream c = sys::TcpStream::connect(server.port(), 32 * 1024);
   const size_t total = 4u << 20;
   std::thread writer([&] {
     std::vector<char> block(64 * 1024);

@@ -36,16 +36,49 @@ TEST(StreamTest, SmallWindowIsRttLimited) {
   EXPECT_LT(r.mb_per_sec, link.payload_mb_per_sec() / 2);
 }
 
+// Window vs throughput (§5.2 enlarges the socket buffers to 1 MB).  Below
+// the bandwidth-delay product a stream moves one window per round trip;
+// above it, the hosts' per-segment cost sets the rate.  HIPPI with 1 ms of
+// host cost per segment puts the product near 170 KB, well above the small
+// windows.  Each expected rate is derived from the model's parameters.
 TEST(StreamTest, ThroughputMonotoneInWindow) {
-  LinkProfile link = LinkProfile::ethernet_100baseT();
+  const LinkProfile link = LinkProfile::hippi();
+  constexpr Nanos kCost = kMillisecond;
+  constexpr std::uint32_t kHeader = 40;  // TCP/IP bytes on every segment and ack
+  const std::uint64_t mss = link.mtu_payload - kHeader;
+  auto mb_per_sec = [](double bytes, double ns) { return bytes / (ns / 1e9) / (1024.0 * 1024.0); };
+  // A one-segment window: the segment out and its ack back, each paying
+  // kCost on its host first.
+  auto rtt_ns = [&](std::uint64_t window) {
+    const auto payload = static_cast<std::uint32_t>(window) + kHeader;
+    return static_cast<double>(2 * kCost + link.one_way_time(payload) + link.one_way_time(kHeader));
+  };
+  // The sender pays kCost per segment, and a window of W bytes goes out as
+  // ceil(W / mss) segments.
+  auto host_bound = [&](std::uint64_t window) {
+    const std::uint64_t segments = (window + mss - 1) / mss;
+    return mb_per_sec(static_cast<double>(window) / static_cast<double>(segments), kCost);
+  };
+  const double product = host_bound(mss) * 1024 * 1024 * rtt_ns(mss) / 1e9;
+  ASSERT_GT(product, 32u << 10);
+  ASSERT_LT(product, 256u << 10);
+  ASSERT_LT(host_bound(mss), link.payload_mb_per_sec());  // the hosts, not the wire
+
   double prev = 0.0;
-  for (std::uint64_t window : {16u << 10, 64u << 10, 256u << 10, 1u << 20}) {
+  for (std::uint64_t window : {8u << 10, 16u << 10, 32u << 10, 256u << 10, 1u << 20, 4u << 20}) {
     StreamConfig cfg;
-    cfg.total_bytes = 2u << 20;
+    cfg.total_bytes = 8u << 20;
     cfg.window_bytes = window;
-    cfg.per_segment_cost = 50 * kMicrosecond;
-    double mb = simulate_stream_transfer(link, cfg).mb_per_sec;
-    EXPECT_GE(mb, prev * 0.99) << "window " << window;
+    cfg.per_segment_cost = kCost;
+    const double mb = simulate_stream_transfer(link, cfg).mb_per_sec;
+    double expected = host_bound(window);
+    if (window < product) {
+      ASSERT_LT(window, mss);  // one segment per round trip
+      expected = mb_per_sec(static_cast<double>(window), rtt_ns(window));
+    }
+    // 3% covers the first window's ramp and the last ack's return.
+    EXPECT_NEAR(mb, expected, 0.03 * expected) << "window " << window;
+    EXPECT_GT(mb, prev) << "window " << window;
     prev = mb;
   }
 }

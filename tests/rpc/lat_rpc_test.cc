@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "tests/core/on_one_cpu.h"
+
 namespace lmb::rpc {
 namespace {
 
@@ -19,8 +21,11 @@ TEST(LatRpcTest, UdpRpcRoundTripIsMeasurable) {
   EXPECT_GT(m.us_per_op(), 1.0);
 }
 
-// A fixed three alternating runs per side, minima compared (§3.4).
+// A fixed three alternating runs per side, minima compared (§3.4), both
+// at one placement.
 TEST(LatRpcTest, BiggerPayloadsCostMore) {
+  OnOneCpu one_cpu;
+  ASSERT_TRUE(one_cpu.pinned());
   RpcLatConfig small = RpcLatConfig::quick();
   RpcLatConfig big = RpcLatConfig::quick();
   big.message_bytes = 16384;

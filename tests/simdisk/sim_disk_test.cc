@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -89,6 +90,25 @@ TEST(SimDiskTest, SequentialSmallReadsHitTrackBuffer) {
   // rotation each.
   Nanos per_read = (f.clock.now() - start) / 63;
   EXPECT_LT(per_read, f.timing.avg_rotational_latency());
+}
+
+// Sequential reads amortize the per-command overhead and the first access
+// of each track over larger requests: MB/s rises with the request size.
+TEST(SimDiskTest, SequentialThroughputRisesWithRequestSize) {
+  double prev = 0.0;
+  for (std::uint32_t size : {512u, 4096u, 65536u, 1048576u}) {
+    Fixture f;
+    SimDisk disk = f.make();
+    std::vector<char> buf(size);
+    const std::uint64_t reads = std::min<std::uint64_t>(256, disk.size_bytes() / size);
+    for (std::uint64_t i = 0; i < reads; ++i) {
+      disk.read(i * size, buf.data(), buf.size());
+    }
+    const double mb = static_cast<double>(reads * size) / (1024.0 * 1024.0) /
+                      (static_cast<double>(f.clock.now()) / 1e9);
+    EXPECT_GT(mb, prev) << size << "-byte reads";
+    prev = mb;
+  }
 }
 
 TEST(SimDiskTest, RandomReadsSeekAndMissBuffer) {

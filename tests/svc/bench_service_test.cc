@@ -275,6 +275,13 @@ TEST_F(BenchServiceTest, FromOptionsMapsClockFlag) {
                UsageError);
 }
 
+// --jobs is range-checked before it is narrowed to int, not wrapped to 2.
+TEST_F(BenchServiceTest, FromOptionsRejectsJobsBeyondInt) {
+  EXPECT_EQ(RunRequest::from_options(Options::from_pairs({{"jobs", "4"}})).jobs, 4);
+  EXPECT_THROW(RunRequest::from_options(Options::from_pairs({{"jobs", "4294967298"}})),
+               std::invalid_argument);
+}
+
 // Two benchmarks that actually call measure(), so the run's clock selection
 // reaches a Measurement.
 Registry make_timed_registry() {

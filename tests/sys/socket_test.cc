@@ -87,12 +87,29 @@ TEST(TcpTest, ConnectToClosedPortFails) {
   EXPECT_THROW(TcpStream::connect(dead_port), SysError);
 }
 
+int rcvbuf(int fd) {
+  int bytes = 0;
+  socklen_t len = sizeof(bytes);
+  check_syscall(::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, &len), "getsockopt SO_RCVBUF");
+  return bytes;
+}
+
+// Buffers requested before the handshake hold on both ends: the connected
+// socket sets its own, and the accepted one inherits the listener's.  Linux
+// doubles the request for bookkeeping, so the read-back is at least it, and
+// unlike an unsized socket's default.
 TEST(TcpTest, BufferSizesAccepted) {
-  TcpListener listener;
-  std::thread server([&] { TcpStream conn = listener.accept(); });
-  TcpStream client = TcpStream::connect(listener.port());
-  client.set_buffer_sizes(1 << 20);  // must not throw
-  server.join();
+  constexpr int kBytes = 16 << 10;
+  UniqueFd unsized(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(unsized.valid());
+  TcpListener listener(16, kBytes);
+  TcpStream client = TcpStream::connect(listener.port(), kBytes);
+  TcpStream server = listener.accept();
+  for (const TcpStream* end : {&client, &server}) {
+    const char* which = end == &client ? "connected" : "accepted";
+    EXPECT_GE(rcvbuf(end->fd()), kBytes) << which;
+    EXPECT_NE(rcvbuf(end->fd()), rcvbuf(unsized.get())) << which;
+  }
 }
 
 TEST(UdpTest, SendRecvConnected) {
