@@ -1,5 +1,6 @@
 #include "src/bw/bw_ipc.h"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <limits>
@@ -27,6 +28,58 @@ void validate(const IpcBwConfig& config) {
   if (config.repetitions < 1) {
     throw std::invalid_argument("IpcBwConfig: repetitions must be >= 1");
   }
+}
+
+void validate_chunk(const IpcBwConfig& config) {
+  if (config.chunk_bytes == 0) {
+    throw std::invalid_argument("IpcBwConfig: chunk must be > 0");
+  }
+}
+
+// A writer that runs until it is stopped.  Closing the read end is not
+// enough to stop it: pipe and socket descriptors are not close-on-exec, so
+// a copy of the read end held by any other process keeps the writer blocked
+// in write(2), and Child's destructor would wait on it forever.  The
+// destructor kills it on every exit path, including an exception from the
+// timed body; the member's own destructor then reaps it.
+class Writer {
+ public:
+  explicit Writer(sys::Child child) : child_(std::move(child)) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+  ~Writer() { ::kill(child_.pid(), SIGKILL); }
+
+ private:
+  sys::Child child_;
+};
+
+// The writer child's body: `buf`-sized writes to `fd` until it is killed.
+// A failed write means the reader is gone.
+int write_until_stopped(int fd, const std::vector<char>& buf) {
+  try {
+    while (true) {
+      sys::write_full(fd, buf.data(), buf.size());
+    }
+  } catch (const std::exception&) {
+    return 1;
+  }
+}
+
+// Times reading `chunk`-sized blocks from `fd`; one op is one chunk.  A
+// writer that dies mid-measure shows as EOF, and read_full throws.
+StreamBwResult time_reads(int fd, size_t chunk, const TimingPolicy& policy) {
+  std::vector<char> buf(chunk);
+  StreamBwResult result;
+  result.chunk_bytes = chunk;
+  result.detail = measure(
+      [&](std::uint64_t iters) {
+        for (std::uint64_t i = 0; i < iters; ++i) {
+          sys::read_full(fd, buf.data(), chunk);
+        }
+      },
+      policy);
+  result.mb_per_sec = mb_per_sec(static_cast<double>(chunk), result.detail.ns_per_op);
+  return result;
 }
 
 // Reads exactly `total` bytes from `fd` in chunk-sized reads, then writes a
@@ -74,49 +127,29 @@ IpcBwResult finish(const IpcBwConfig& config, Sample mbps) {
 
 }  // namespace
 
-IpcBwResult measure_pipe_bw(const IpcBwConfig& config) {
-  validate(config);
-  Sample mbps;
-  for (int rep = 0; rep < config.repetitions; ++rep) {
-    sys::Pipe data;
-    sys::Pipe ack;
-    sys::Child child = sys::fork_child([&]() {
-      data.close_write();
-      ack.close_read();
-      return reader_loop(data.read_fd(), ack.write_fd(), config.total_bytes, config.chunk_bytes);
-    });
+StreamBwResult measure_pipe_bw(const IpcBwConfig& config, const TimingPolicy& policy) {
+  validate_chunk(config);
+  sys::Pipe data;
+  // Filled before fork, so the child allocates nothing.
+  const std::vector<char> chunk(config.chunk_bytes, 'x');
+  Writer writer(sys::fork_child([&]() {
     data.close_read();
-    ack.close_write();
-    double ns =
-        time_one_transfer(data.write_fd(), ack.read_fd(), config.total_bytes, config.chunk_bytes);
-    data.close_write();
-    if (child.wait() != 0) {
-      throw std::runtime_error("pipe bandwidth reader failed");
-    }
-    mbps.add(mb_per_sec(static_cast<double>(config.total_bytes), ns));
-  }
-  return finish(config, std::move(mbps));
+    return write_until_stopped(data.write_fd(), chunk);
+  }));
+  data.close_write();
+  return time_reads(data.read_fd(), config.chunk_bytes, policy);
 }
 
-IpcBwResult measure_unix_bw(const IpcBwConfig& config) {
-  validate(config);
-  Sample mbps;
-  for (int rep = 0; rep < config.repetitions; ++rep) {
-    sys::SocketPair pair;
-    sys::Child child = sys::fork_child([&]() {
-      pair.close_first();
-      // The socket is bidirectional: ack flows back on the same fd.
-      return reader_loop(pair.second(), pair.second(), config.total_bytes, config.chunk_bytes);
-    });
-    pair.close_second();
-    double ns =
-        time_one_transfer(pair.first(), pair.first(), config.total_bytes, config.chunk_bytes);
-    if (child.wait() != 0) {
-      throw std::runtime_error("unix bandwidth reader failed");
-    }
-    mbps.add(mb_per_sec(static_cast<double>(config.total_bytes), ns));
-  }
-  return finish(config, std::move(mbps));
+StreamBwResult measure_unix_bw(const IpcBwConfig& config, const TimingPolicy& policy) {
+  validate_chunk(config);
+  sys::SocketPair pair;
+  const std::vector<char> chunk(config.chunk_bytes, 'x');
+  Writer writer(sys::fork_child([&]() {
+    pair.close_first();
+    return write_until_stopped(pair.second(), chunk);
+  }));
+  pair.close_second();
+  return time_reads(pair.first(), config.chunk_bytes, policy);
 }
 
 IpcBwResult measure_tcp_bw(const IpcBwConfig& config) {
@@ -141,21 +174,38 @@ IpcBwResult measure_tcp_bw(const IpcBwConfig& config) {
 
 namespace {
 
+// --chunk for every transfer; --total and --reps for bw_tcp only.
 IpcBwConfig config_from_options(const Options& opts, IpcBwConfig base) {
+  base.chunk_bytes = static_cast<size_t>(
+      opts.get_size("chunk", static_cast<std::int64_t>(base.chunk_bytes)));
+  return base;
+}
+
+IpcBwConfig tcp_config_from_options(const Options& opts) {
+  IpcBwConfig base = config_from_options(opts, IpcBwConfig::tcp_default());
   if (opts.quick()) {
     base.total_bytes = 4u << 20;
     base.repetitions = 2;
   }
   base.total_bytes = static_cast<size_t>(
       opts.get_size("total", static_cast<std::int64_t>(base.total_bytes)));
-  base.chunk_bytes = static_cast<size_t>(
-      opts.get_size("chunk", static_cast<std::int64_t>(base.chunk_bytes)));
   base.repetitions =
       opts.get_int_in("reps", base.repetitions, 1, std::numeric_limits<int>::max());
   return base;
 }
 
-RunResult mbps_result(const IpcBwResult& r) {
+TimingPolicy policy_from_options(const Options& opts) {
+  return opts.quick() ? TimingPolicy::quick() : TimingPolicy::standard();
+}
+
+RunResult stream_result(const StreamBwResult& r) {
+  RunResult out = RunResult{}.with(r.detail).add("mbs", r.mb_per_sec, "MB/s");
+  out.metadata["chunk_bytes"] = std::to_string(r.chunk_bytes);
+  out.display = report::format_number(r.mb_per_sec, 0) + " MB/s";
+  return out;
+}
+
+RunResult tcp_result(const IpcBwResult& r) {
   RunResult out;
   out.add("mbs", r.mb_per_sec, "MB/s");
   out.metadata["total_bytes"] = std::to_string(r.total_bytes);
@@ -170,8 +220,9 @@ const BenchmarkRegistrar pipe_registrar{{
     .description = "pipe bandwidth, 64KB transfers (Table 3)",
     .run =
         [](const Options& opts) {
-          return mbps_result(
-              measure_pipe_bw(config_from_options(opts, IpcBwConfig::pipe_default())));
+          return stream_result(
+              measure_pipe_bw(config_from_options(opts, IpcBwConfig::pipe_default()),
+                              policy_from_options(opts)));
         },
 }};
 
@@ -181,8 +232,7 @@ const BenchmarkRegistrar tcp_registrar{{
     .description = "loopback TCP bandwidth, 1MB transfers (Table 3)",
     .run =
         [](const Options& opts) {
-          return mbps_result(
-              measure_tcp_bw(config_from_options(opts, IpcBwConfig::tcp_default())));
+          return tcp_result(measure_tcp_bw(tcp_config_from_options(opts)));
         },
 }};
 
@@ -192,8 +242,9 @@ const BenchmarkRegistrar unix_registrar{{
     .description = "AF_UNIX stream bandwidth (lmbench bw_unix)",
     .run =
         [](const Options& opts) {
-          return mbps_result(
-              measure_unix_bw(config_from_options(opts, IpcBwConfig::pipe_default())));
+          return stream_result(
+              measure_unix_bw(config_from_options(opts, IpcBwConfig::pipe_default()),
+                              policy_from_options(opts)));
         },
 }};
 

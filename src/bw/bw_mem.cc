@@ -28,6 +28,30 @@ size_t round_words(size_t bytes) {
 
 size_t round_up_64(size_t bytes) { return (bytes + 63) & ~size_t{63}; }
 
+// One region holds both buffers plus the anti-alias offset; the dst offset
+// is rounded up to a cache line so both pointers stay 64-byte aligned even
+// for odd sizes (the mapping itself is page-aligned).  Every page is
+// touched here, so timing excludes first-fault costs.
+struct MemBuffers {
+  size_t words;
+  size_t bytes;
+  size_t dst_off;
+  sys::AnonMapping region;
+  std::uint64_t* src;
+  std::uint64_t* dst;
+
+  explicit MemBuffers(size_t requested)
+      : words(round_words(requested)),
+        bytes(words * sizeof(std::uint64_t)),
+        dst_off(round_up_64(bytes) + kAntiAliasOffset),
+        region(dst_off + round_up_64(bytes)),
+        src(reinterpret_cast<std::uint64_t*>(region.data())),
+        dst(reinterpret_cast<std::uint64_t*>(region.data() + dst_off)) {
+    write_unrolled(src, words, 0x0102030405060708ull);
+    write_unrolled(dst, words, 0);
+  }
+};
+
 // The timed loop for one operation against one dispatch table.  Shared by
 // the single-kernel measurement and the interleaved comparison so both time
 // exactly the same body.
@@ -101,40 +125,26 @@ const char* mem_op_name(MemOp op) {
   return "?";
 }
 
-MemBwResult measure_mem_bw(MemOp op, const MemBwConfig& config) {
-  size_t words = round_words(config.bytes);
-  size_t bytes = words * sizeof(std::uint64_t);
+std::vector<MemBwResult> measure_mem_bw(const std::vector<MemOp>& ops,
+                                        const MemBwConfig& config) {
+  MemBuffers buf(config.bytes);
   const KernelSet& ks = kernels_for(config.kernel);
-
-  // One region holds both buffers plus the anti-alias offset; the dst
-  // offset is rounded up to a cache line so both pointers stay 64-byte
-  // aligned even for odd sizes (the mapping itself is page-aligned).
-  size_t dst_off = round_up_64(bytes) + kAntiAliasOffset;
-  sys::AnonMapping region(dst_off + round_up_64(bytes));
-  auto* src = reinterpret_cast<std::uint64_t*>(region.data());
-  auto* dst = reinterpret_cast<std::uint64_t*>(region.data() + dst_off);
-
-  // Touch all pages up front so timing excludes first-fault costs.
-  write_unrolled(src, words, 0x0102030405060708ull);
-  write_unrolled(dst, words, 0);
-
-  BenchFn body = make_mem_body(op, ks, src, dst, words);
-
-  MemBwResult result;
-  result.op = op;
-  result.bytes = bytes;
-  result.detail = measure(body, config.policy);
-  result.mb_per_sec = mb_per_sec(static_cast<double>(bytes), result.detail.ns_per_op);
-  return result;
+  std::vector<MemBwResult> out;
+  out.reserve(ops.size());
+  for (MemOp op : ops) {
+    MemBwResult result;
+    result.op = op;
+    result.bytes = buf.bytes;
+    result.detail = measure(make_mem_body(op, ks, buf.src, buf.dst, buf.words), config.policy);
+    result.mb_per_sec = mb_per_sec(static_cast<double>(buf.bytes), result.detail.ns_per_op);
+    out.push_back(std::move(result));
+  }
+  return out;
 }
 
 std::vector<MemBwResult> measure_mem_bw_all(const MemBwConfig& config) {
-  return {
-      measure_mem_bw(MemOp::kCopyLibc, config),
-      measure_mem_bw(MemOp::kCopyUnrolled, config),
-      measure_mem_bw(MemOp::kReadSum, config),
-      measure_mem_bw(MemOp::kWrite, config),
-  };
+  return measure_mem_bw({MemOp::kCopyLibc, MemOp::kCopyUnrolled, MemOp::kReadSum, MemOp::kWrite},
+                        config);
 }
 
 KernelCompareResult compare_kernels_interleaved(MemOp op, const MemBwConfig& config,
@@ -145,17 +155,9 @@ KernelCompareResult compare_kernels_interleaved(MemOp op, const MemBwConfig& con
     throw std::invalid_argument(
         "compare_kernels_interleaved: bcopy_libc has no kernel variants");
   }
-  size_t words = round_words(config.bytes);
-  size_t bytes = words * sizeof(std::uint64_t);
-
   // One shared buffer pair for every variant: A/B deltas should see the same
   // physical pages, TLB state, and cache-alias layout on both sides.
-  size_t dst_off = round_up_64(bytes) + kAntiAliasOffset;
-  sys::AnonMapping region(dst_off + round_up_64(bytes));
-  auto* src = reinterpret_cast<std::uint64_t*>(region.data());
-  auto* dst = reinterpret_cast<std::uint64_t*>(region.data() + dst_off);
-  write_unrolled(src, words, 0x0102030405060708ull);
-  write_unrolled(dst, words, 0);
+  MemBuffers buf(config.bytes);
 
   // available_kernel_variants() lists scalar first, so entries[0] is the
   // baseline compare_interleaved pairs every other variant against.
@@ -163,32 +165,18 @@ KernelCompareResult compare_kernels_interleaved(MemOp op, const MemBwConfig& con
   std::vector<CompareVariant> cvs;
   cvs.reserve(variants.size());
   for (KernelVariant v : variants) {
-    cvs.push_back({kernel_variant_name(v), make_mem_body(op, kernels_for(v), src, dst, words)});
+    cvs.push_back(
+        {kernel_variant_name(v), make_mem_body(op, kernels_for(v), buf.src, buf.dst, buf.words)});
   }
 
   KernelCompareResult out;
   out.op = op;
-  out.bytes = bytes;
+  out.bytes = buf.bytes;
   out.ab = compare_interleaved(cvs, config.policy, rounds);
   out.entries.reserve(variants.size());
   for (size_t i = 0; i < variants.size(); ++i) {
     out.entries.push_back(
-        {variants[i], mb_per_sec(static_cast<double>(bytes), out.ab.variants[i].ns_per_op)});
-  }
-  return out;
-}
-
-std::vector<MemBwResult> sweep_mem_bw(MemOp op, size_t from, size_t to,
-                                      const TimingPolicy& policy) {
-  if (from == 0 || from > to) {
-    throw std::invalid_argument("sweep_mem_bw: bad range");
-  }
-  std::vector<MemBwResult> out;
-  for (size_t size = from; size <= to; size *= 2) {
-    MemBwConfig cfg;
-    cfg.bytes = size;
-    cfg.policy = policy;
-    out.push_back(measure_mem_bw(op, cfg));
+        {variants[i], mb_per_sec(static_cast<double>(buf.bytes), out.ab.variants[i].ns_per_op)});
   }
   return out;
 }

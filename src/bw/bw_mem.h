@@ -3,7 +3,8 @@
 // Measures copy (libc and unrolled), read, and write bandwidth over a
 // configurable buffer size.  The default 8 MB-to-8 MB copy "largely defeats
 // any second-level cache in use today" (§5.1); smaller sizes deliberately
-// measure cache bandwidth (used by the sweep API and ablation benches).
+// measure cache bandwidth.  All of one call's operations share one buffer
+// pair, mapped and first-touched once.
 #ifndef LMBENCHPP_SRC_BW_BW_MEM_H_
 #define LMBENCHPP_SRC_BW_BW_MEM_H_
 
@@ -46,17 +47,16 @@ struct MemBwResult {
   Measurement detail;
 };
 
-// Runs one operation.  Source and destination are laid out so they do not
-// collide in a direct-mapped cache (offset by a few cache lines).
-MemBwResult measure_mem_bw(MemOp op, const MemBwConfig& config = {});
+// Runs each operation in `ops`, in order, one measure() each, on one
+// source/destination pair that is mapped and first-touched once.  The two
+// buffers are laid out so they do not collide in a direct-mapped cache
+// (offset by a few cache lines).
+std::vector<MemBwResult> measure_mem_bw(const std::vector<MemOp>& ops,
+                                        const MemBwConfig& config = {});
 
-// Full Table-2 row: all four operations at the configured size.
+// Full Table-2 row: the four operations (libc copy, unrolled copy, read,
+// write) on one buffer pair at the configured size.
 std::vector<MemBwResult> measure_mem_bw_all(const MemBwConfig& config = {});
-
-// Size sweep for one op (powers of two from `from` to `to` inclusive) — the
-// "run in a loop, with increasing sizes" methodology of §3.1.
-std::vector<MemBwResult> sweep_mem_bw(MemOp op, size_t from, size_t to,
-                                      const TimingPolicy& policy = TimingPolicy::quick());
 
 // One kernel variant's outcome in an interleaved comparison.
 struct KernelCompareEntry {

@@ -1,7 +1,14 @@
 #include "src/bw/bw_ipc.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 
+#include <cerrno>
+#include <fstream>
+#include <stdexcept>
+
+#include "src/core/clock.h"
 #include "src/core/timing.h"
 
 namespace lmb::bw {
@@ -15,18 +22,36 @@ IpcBwConfig tiny() {
   return cfg;
 }
 
+// True when this process has no child left, running or unreaped.
+bool no_child_left() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
 TEST(BwIpcTest, PipeBandwidthIsPositiveAndPlausible) {
-  IpcBwResult r = measure_pipe_bw(tiny());
+  StreamBwResult r = measure_pipe_bw(tiny(), TimingPolicy::quick());
   EXPECT_GT(r.mb_per_sec, 1.0);
   EXPECT_LT(r.mb_per_sec, 1e6);
-  EXPECT_EQ(r.total_bytes, 2u << 20);
-  EXPECT_EQ(static_cast<int>(r.per_rep.count()), 2);
-  EXPECT_GE(r.mb_per_sec, r.mean_mb_per_sec);  // headline is the best rep
+  EXPECT_EQ(r.chunk_bytes, 64u << 10);
+  // The headline is one chunk over measure()'s minimum.
+  EXPECT_GT(r.detail.repetitions, 0);
+  EXPECT_DOUBLE_EQ(r.mb_per_sec, mb_per_sec(64u << 10, r.detail.ns_per_op));
+  EXPECT_TRUE(no_child_left());
 }
 
 TEST(BwIpcTest, UnixBandwidthIsPositive) {
-  IpcBwResult r = measure_unix_bw(tiny());
+  StreamBwResult r = measure_unix_bw(tiny(), TimingPolicy::quick());
   EXPECT_GT(r.mb_per_sec, 1.0);
+  EXPECT_TRUE(no_child_left());
+}
+
+// --chunk sets the size of every write and every timed read.
+TEST(BwIpcTest, ChunkSizeIsTheOpSize) {
+  IpcBwConfig cfg = tiny();
+  cfg.chunk_bytes = 4096;
+  StreamBwResult r = measure_pipe_bw(cfg, TimingPolicy::quick());
+  EXPECT_EQ(r.chunk_bytes, 4096u);
+  EXPECT_DOUBLE_EQ(r.mb_per_sec, mb_per_sec(4096, r.detail.ns_per_op));
 }
 
 TEST(BwIpcTest, TcpBandwidthIsPositive) {
@@ -55,41 +80,74 @@ TEST(BwIpcTest, ConfigValidation) {
   IpcBwConfig bad = tiny();
   bad.chunk_bytes = 0;
   EXPECT_THROW(measure_pipe_bw(bad), std::invalid_argument);
+  EXPECT_THROW(measure_unix_bw(bad), std::invalid_argument);
   bad = tiny();
   bad.chunk_bytes = bad.total_bytes * 2;
-  EXPECT_THROW(measure_unix_bw(bad), std::invalid_argument);
+  EXPECT_THROW(measure_tcp_bw(bad), std::invalid_argument);
   bad = tiny();
   bad.repetitions = 0;
   EXPECT_THROW(measure_tcp_bw(bad), std::invalid_argument);
+  EXPECT_TRUE(no_child_left());
 }
 
 TEST(BwIpcTest, DefaultsMatchPaperParameters) {
   IpcBwConfig pipe = IpcBwConfig::pipe_default();
-  EXPECT_EQ(pipe.total_bytes, 50u << 20);  // "transfer 50MB"
   EXPECT_EQ(pipe.chunk_bytes, 64u << 10);  // "in 64K transfers"
   IpcBwConfig tcp = IpcBwConfig::tcp_default();
   EXPECT_EQ(tcp.chunk_bytes, 1u << 20);          // "1M page aligned transfers"
   EXPECT_EQ(tcp.socket_buffer_bytes, 1 << 20);   // "enlarged to 1M"
 }
 
-}  // namespace
-}  // namespace lmb::bw
-
-namespace lmb::bw {
-namespace {
-
-TEST(BwIpcTest, PerRepSamplesAreAllPositive) {
-  IpcBwConfig cfg;
-  cfg.total_bytes = 1u << 20;
-  cfg.chunk_bytes = 64u << 10;
+TEST(BwIpcTest, TcpPerRepSamplesAreAllPositive) {
+  IpcBwConfig cfg = IpcBwConfig::tcp_default();
+  cfg.total_bytes = 2u << 20;
   cfg.repetitions = 3;
-  IpcBwResult r = measure_pipe_bw(cfg);
+  IpcBwResult r = measure_tcp_bw(cfg);
   ASSERT_EQ(r.per_rep.count(), 3u);
   for (double v : r.per_rep.values()) {
     EXPECT_GT(v, 0.0);
   }
   EXPECT_DOUBLE_EQ(r.mb_per_sec, r.per_rep.max());
   EXPECT_DOUBLE_EQ(r.mean_mb_per_sec, r.per_rep.mean());
+}
+
+// A wall clock that, from its `after`-th read on, SIGKILLs every child of
+// the calling thread: the writer dies mid-measure.
+class KillingClock : public Clock {
+ public:
+  explicit KillingClock(int after) : after_(after) {}
+  Nanos now() const override {
+    if (++reads_ >= after_) {
+      std::ifstream children("/proc/thread-self/children");
+      for (pid_t pid = 0; children >> pid;) {
+        ::kill(pid, SIGKILL);
+      }
+    }
+    return WallClock::instance().now();
+  }
+
+ private:
+  int after_;
+  mutable int reads_ = 0;
+};
+
+// Killed mid-measure, the writer shows as EOF: the reader throws, and
+// the benchmark still leaves no child behind.  measure()'s first clock
+// read kills the writer; the warm-up then asks for 64 MB, more than any
+// pipe or socket buffer holds, so the reader must reach EOF however the
+// host schedules it.
+TEST(BwIpcTest, WriterKilledMidMeasureThrowsAndLeavesNoChild) {
+  if (!std::ifstream("/proc/thread-self/children")) {
+    GTEST_SKIP() << "/proc/thread-self/children is not available";
+  }
+  TimingPolicy policy = TimingPolicy::quick();
+  policy.warmup_runs = 1024;
+  for (auto* run : {&measure_pipe_bw, &measure_unix_bw}) {
+    KillingClock clock(1);
+    MeasureScope scope(clock);
+    EXPECT_THROW(run(tiny(), policy), std::runtime_error);
+    EXPECT_TRUE(no_child_left());
+  }
 }
 
 }  // namespace

@@ -17,10 +17,9 @@ MemBwConfig tiny_config(size_t bytes = 1 << 20) {
 }
 
 TEST(BwMemTest, AllOperationsProducePositiveBandwidth) {
-  for (MemOp op : {MemOp::kCopyLibc, MemOp::kCopyUnrolled, MemOp::kReadSum, MemOp::kWrite}) {
-    MemBwResult r = measure_mem_bw(op, tiny_config());
-    EXPECT_GT(r.mb_per_sec, 10.0) << mem_op_name(op);  // > 10 MB/s on anything
-    EXPECT_LT(r.mb_per_sec, 1e7) << mem_op_name(op);   // < 10 TB/s sanity
+  for (const MemBwResult& r : measure_mem_bw_all(tiny_config())) {
+    EXPECT_GT(r.mb_per_sec, 10.0) << mem_op_name(r.op);  // > 10 MB/s on anything
+    EXPECT_LT(r.mb_per_sec, 1e7) << mem_op_name(r.op);   // < 10 TB/s sanity
     EXPECT_EQ(r.bytes, 1u << 20);
   }
 }
@@ -29,13 +28,15 @@ TEST(BwMemTest, MeasureAllReturnsFourRows) {
   auto rows = measure_mem_bw_all(tiny_config(256 * 1024));
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].op, MemOp::kCopyLibc);
+  EXPECT_EQ(rows[1].op, MemOp::kCopyUnrolled);
+  EXPECT_EQ(rows[2].op, MemOp::kReadSum);
   EXPECT_EQ(rows[3].op, MemOp::kWrite);
 }
 
 TEST(BwMemTest, TooSmallBufferRejected) {
   MemBwConfig cfg;
   cfg.bytes = 4;  // less than one 8-byte word
-  EXPECT_THROW(measure_mem_bw(MemOp::kReadSum, cfg), std::invalid_argument);
+  EXPECT_THROW(measure_mem_bw({MemOp::kReadSum}, cfg), std::invalid_argument);
 }
 
 // The kernels' tail loops lifted the old multiple-of-256-bytes floor: any
@@ -43,7 +44,7 @@ TEST(BwMemTest, TooSmallBufferRejected) {
 TEST(BwMemTest, SmallAndOddSizesAreMeasurable) {
   for (size_t bytes : {size_t{64}, size_t{1000}, size_t{4104}}) {
     MemBwConfig cfg = tiny_config(bytes);
-    MemBwResult r = measure_mem_bw(MemOp::kCopyUnrolled, cfg);
+    MemBwResult r = measure_mem_bw({MemOp::kCopyUnrolled}, cfg)[0];
     EXPECT_GT(r.mb_per_sec, 0.0) << bytes;
     EXPECT_EQ(r.bytes, bytes - bytes % 8) << bytes;
   }
@@ -52,23 +53,8 @@ TEST(BwMemTest, SmallAndOddSizesAreMeasurable) {
 TEST(BwMemTest, KernelOverrideProducesBandwidth) {
   MemBwConfig cfg = tiny_config(256 * 1024);
   cfg.kernel = KernelVariant::kScalar;
-  MemBwResult r = measure_mem_bw(MemOp::kCopyUnrolled, cfg);
+  MemBwResult r = measure_mem_bw({MemOp::kCopyUnrolled}, cfg)[0];
   EXPECT_GT(r.mb_per_sec, 10.0);
-}
-
-TEST(BwMemTest, SweepCoversPowerOfTwoSizes) {
-  auto points = sweep_mem_bw(MemOp::kReadSum, 64 * 1024, 512 * 1024, TimingPolicy::quick());
-  ASSERT_EQ(points.size(), 4u);  // 64K, 128K, 256K, 512K
-  EXPECT_EQ(points[0].bytes, 64u * 1024);
-  EXPECT_EQ(points[3].bytes, 512u * 1024);
-  for (const auto& p : points) {
-    EXPECT_GT(p.mb_per_sec, 0.0);
-  }
-}
-
-TEST(BwMemTest, SweepRejectsBadRange) {
-  EXPECT_THROW(sweep_mem_bw(MemOp::kReadSum, 0, 1024), std::invalid_argument);
-  EXPECT_THROW(sweep_mem_bw(MemOp::kReadSum, 2048, 1024), std::invalid_argument);
 }
 
 TEST(BwMemTest, OpNamesAreStable) {
@@ -81,8 +67,8 @@ TEST(BwMemTest, OpNamesAreStable) {
 // The paper's cache-vs-memory effect: a cache-resident buffer must be at
 // least as fast as a much larger one (allowing generous noise).
 TEST(BwMemTest, CacheResidentIsNotSlowerThanMemoryResident) {
-  MemBwResult small = measure_mem_bw(MemOp::kReadSum, tiny_config(32 * 1024));
-  MemBwResult large = measure_mem_bw(MemOp::kReadSum, tiny_config(16 << 20));
+  MemBwResult small = measure_mem_bw({MemOp::kReadSum}, tiny_config(32 * 1024))[0];
+  MemBwResult large = measure_mem_bw({MemOp::kReadSum}, tiny_config(16 << 20))[0];
   EXPECT_GT(small.mb_per_sec, large.mb_per_sec * 0.7);
 }
 
@@ -96,9 +82,13 @@ TEST(BwMemTest, ExtendedOpsProducePositiveBandwidth) {
   MemBwConfig cfg;
   cfg.bytes = 1 << 20;
   cfg.policy = TimingPolicy::quick();
-  for (MemOp op : {MemOp::kBzero, MemOp::kReadWrite}) {
-    MemBwResult r = measure_mem_bw(op, cfg);
-    EXPECT_GT(r.mb_per_sec, 10.0) << mem_op_name(op);
+  // One call measures the ops it is given, in order, on one buffer pair.
+  auto rows = measure_mem_bw({MemOp::kBzero, MemOp::kReadWrite}, cfg);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].op, MemOp::kBzero);
+  EXPECT_EQ(rows[1].op, MemOp::kReadWrite);
+  for (const MemBwResult& r : rows) {
+    EXPECT_GT(r.mb_per_sec, 10.0) << mem_op_name(r.op);
   }
   EXPECT_STREQ(mem_op_name(MemOp::kBzero), "bzero");
   EXPECT_STREQ(mem_op_name(MemOp::kReadWrite), "rdwr");

@@ -69,7 +69,7 @@ TEST(ParallelBwTest, SingleWorkerAgreesWithSingleStream) {
   MemBwConfig scfg;
   scfg.bytes = pcfg.bytes;
   scfg.policy = TimingPolicy::quick();
-  MemBwResult single = measure_mem_bw(MemOp::kReadSum, scfg);
+  MemBwResult single = measure_mem_bw({MemOp::kReadSum}, scfg)[0];
 
   ASSERT_GT(single.mb_per_sec, 0.0);
   double ratio = par.aggregate_mb_per_sec / single.mb_per_sec;

@@ -105,9 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CountFlag{"lat_exec", "n", 1, INT_MAX},
                       CountFlag{"lat_sh", "n", 1, INT_MAX},
                       CountFlag{"lat_ctx", "procs", 2, 64},
-                      CountFlag{"bw_pipe", "reps", 1, INT_MAX},
                       CountFlag{"bw_tcp", "reps", 1, INT_MAX},
-                      CountFlag{"bw_unix", "reps", 1, INT_MAX},
                       CountFlag{"lat_fs", "files", 1, INT_MAX},
                       CountFlag{"lat_tcp_n", "connections", 1, INT_MAX}),
     [](const ::testing::TestParamInfo<CountFlag>& info) { return std::string(info.param.bench); });
