@@ -2,10 +2,10 @@
 //
 //   ./build/examples/lmbench_heatmap FILE...
 //
-// Each FILE is either a bare lmbenchpp.heatmap.v1 document (what
-// `tcp_load --heatmap-json=PATH` writes) or a results JSON from run_suite
-// (lmbenchpp.results.v1), in which case every benchmark carrying a
-// `heatmap_*` metadata entry is rendered.
+// Each FILE is either a results JSON from run_suite (lmbenchpp.results.v1),
+// in which case every benchmark carrying a `heatmap_*` metadata entry is
+// rendered, or a bare lmbenchpp.heatmap.v1 document (what older releases
+// saved on their own, and what a results entry's `heatmap_*` value holds).
 //
 // Exit codes: 0 ok, 1 no heatmap found / unreadable input, 2 usage.
 #include <cstdio>

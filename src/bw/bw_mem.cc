@@ -52,11 +52,10 @@ struct MemBuffers {
   }
 };
 
-// The timed loop for one operation against one dispatch table.  Shared by
-// the single-kernel measurement and the interleaved comparison so both time
-// exactly the same body.
-BenchFn make_mem_body(MemOp op, const KernelSet& ks, std::uint64_t* src, std::uint64_t* dst,
-                      size_t words) {
+}  // namespace
+
+BenchFn mem_op_body(MemOp op, const KernelSet& ks, std::uint64_t* src, std::uint64_t* dst,
+                    size_t words) {
   switch (op) {
     case MemOp::kCopyLibc:
       return [=](std::uint64_t iters) {
@@ -87,25 +86,9 @@ BenchFn make_mem_body(MemOp op, const KernelSet& ks, std::uint64_t* src, std::ui
         }
         do_not_optimize(dst[0]);
       };
-    case MemOp::kBzero:
-      return [=, &ks](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          ks.fill_zero(dst, words);
-        }
-        do_not_optimize(dst[0]);
-      };
-    case MemOp::kReadWrite:
-      return [=, &ks](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          ks.read_write(dst, words, i + 1);
-        }
-        do_not_optimize(dst[0]);
-      };
   }
-  throw std::invalid_argument("make_mem_body: unknown op");
+  throw std::invalid_argument("mem_op_body: unknown op");
 }
-
-}  // namespace
 
 const char* mem_op_name(MemOp op) {
   switch (op) {
@@ -117,10 +100,6 @@ const char* mem_op_name(MemOp op) {
       return "read";
     case MemOp::kWrite:
       return "write";
-    case MemOp::kBzero:
-      return "bzero";
-    case MemOp::kReadWrite:
-      return "rdwr";
   }
   return "?";
 }
@@ -135,7 +114,7 @@ std::vector<MemBwResult> measure_mem_bw(const std::vector<MemOp>& ops,
     MemBwResult result;
     result.op = op;
     result.bytes = buf.bytes;
-    result.detail = measure(make_mem_body(op, ks, buf.src, buf.dst, buf.words), config.policy);
+    result.detail = measure(mem_op_body(op, ks, buf.src, buf.dst, buf.words), config.policy);
     result.mb_per_sec = mb_per_sec(static_cast<double>(buf.bytes), result.detail.ns_per_op);
     out.push_back(std::move(result));
   }
@@ -145,40 +124,6 @@ std::vector<MemBwResult> measure_mem_bw(const std::vector<MemOp>& ops,
 std::vector<MemBwResult> measure_mem_bw_all(const MemBwConfig& config) {
   return measure_mem_bw({MemOp::kCopyLibc, MemOp::kCopyUnrolled, MemOp::kReadSum, MemOp::kWrite},
                         config);
-}
-
-KernelCompareResult compare_kernels_interleaved(MemOp op, const MemBwConfig& config,
-                                                int rounds) {
-  if (op == MemOp::kCopyLibc) {
-    // kCopyLibc ignores the dispatch table — every "variant" would time the
-    // same memcpy.  Compare kCopyUnrolled against it instead.
-    throw std::invalid_argument(
-        "compare_kernels_interleaved: bcopy_libc has no kernel variants");
-  }
-  // One shared buffer pair for every variant: A/B deltas should see the same
-  // physical pages, TLB state, and cache-alias layout on both sides.
-  MemBuffers buf(config.bytes);
-
-  // available_kernel_variants() lists scalar first, so entries[0] is the
-  // baseline compare_interleaved pairs every other variant against.
-  std::vector<KernelVariant> variants = available_kernel_variants();
-  std::vector<CompareVariant> cvs;
-  cvs.reserve(variants.size());
-  for (KernelVariant v : variants) {
-    cvs.push_back(
-        {kernel_variant_name(v), make_mem_body(op, kernels_for(v), buf.src, buf.dst, buf.words)});
-  }
-
-  KernelCompareResult out;
-  out.op = op;
-  out.bytes = buf.bytes;
-  out.ab = compare_interleaved(cvs, config.policy, rounds);
-  out.entries.reserve(variants.size());
-  for (size_t i = 0; i < variants.size(); ++i) {
-    out.entries.push_back(
-        {variants[i], mb_per_sec(static_cast<double>(buf.bytes), out.ab.variants[i].ns_per_op)});
-  }
-  return out;
 }
 
 namespace {

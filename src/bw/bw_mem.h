@@ -20,9 +20,9 @@ struct MemBwConfig {
   // Bytes per buffer (source and destination each this large).  Any size
   // of at least one 8-byte word is measurable (kernels handle odd tails).
   size_t bytes = 8u << 20;
-  // Kernel implementation for the unrolled copy/read/write/rdwr/bzero ops
-  // (kCopyLibc always uses memcpy).  kAuto picks the best the CPU supports;
-  // the --kernel= flag maps here.
+  // Kernel implementation for the unrolled copy/read/write ops (kCopyLibc
+  // always uses memcpy).  kAuto picks the best the CPU supports; the
+  // --kernel= flag maps here.
   KernelVariant kernel = KernelVariant::kAuto;
   TimingPolicy policy = TimingPolicy::standard();
 };
@@ -32,11 +32,16 @@ enum class MemOp {
   kCopyUnrolled,  // hand-unrolled aligned 8-byte load/store
   kReadSum,       // unrolled read + sum
   kWrite,         // unrolled store
-  kBzero,         // memset (lmbench bw_mem's bzero case)
-  kReadWrite,     // unrolled read-modify-write (lmbench bw_mem's rdwr case)
 };
 
 const char* mem_op_name(MemOp op);
+
+// The timed body of one operation: runs it `iters` times over `words`
+// 8-byte words of src/dst through `ks`, which it holds by reference (the
+// tables kernels_for() returns live for the program).  Single-stream and
+// parallel bandwidth time this same body.
+BenchFn mem_op_body(MemOp op, const KernelSet& ks, std::uint64_t* src, std::uint64_t* dst,
+                    size_t words);
 
 struct MemBwResult {
   MemOp op;
@@ -57,32 +62,6 @@ std::vector<MemBwResult> measure_mem_bw(const std::vector<MemOp>& ops,
 // Full Table-2 row: the four operations (libc copy, unrolled copy, read,
 // write) on one buffer pair at the configured size.
 std::vector<MemBwResult> measure_mem_bw_all(const MemBwConfig& config = {});
-
-// One kernel variant's outcome in an interleaved comparison.
-struct KernelCompareEntry {
-  KernelVariant variant = KernelVariant::kScalar;
-  double mb_per_sec = 0.0;  // from the variant's min ns/op across rounds
-};
-
-// Outcome of comparing every available kernel variant on one operation.
-struct KernelCompareResult {
-  MemOp op = MemOp::kCopyUnrolled;
-  size_t bytes = 0;
-  // entries[i] corresponds to ab.variants[i]; [0] is the scalar baseline.
-  std::vector<KernelCompareEntry> entries;
-  // The paired-delta statistics and the recorded interleaving order
-  // (src/core/timing.h).  ab.deltas[i-1] judges entries[i] against scalar.
-  AbComparison ab;
-};
-
-// Compares every kernel variant this host supports on `op` with randomized
-// A/B interleaving (compare_interleaved): all variants share one buffer and
-// one calibrated iteration count, each round times each variant once in
-// shuffled order, and per-round paired deltas against the scalar baseline
-// cancel drift that a sequential variant-by-variant comparison would absorb
-// into whichever variant ran last.  `rounds <= 0` uses policy.repetitions.
-KernelCompareResult compare_kernels_interleaved(MemOp op, const MemBwConfig& config = {},
-                                                int rounds = 0);
 
 }  // namespace lmb::bw
 

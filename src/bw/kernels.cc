@@ -21,10 +21,6 @@ void copy_libc(std::uint64_t* dst, const std::uint64_t* src, size_t words) {
   std::memcpy(dst, src, words * sizeof(std::uint64_t));
 }
 
-void fill_zero_libc(std::uint64_t* dst, size_t words) {
-  std::memset(dst, 0, words * sizeof(std::uint64_t));
-}
-
 void copy_unrolled(std::uint64_t* dst, const std::uint64_t* src, size_t words) {
   size_t blocks = words - words % kUnrollWords;
   for (size_t i = 0; i < blocks; i += kUnrollWords) {
@@ -124,47 +120,6 @@ void write_unrolled(std::uint64_t* dst, size_t words, std::uint64_t value) {
   }
 }
 
-void read_write_unrolled(std::uint64_t* data, size_t words, std::uint64_t delta) {
-  size_t blocks = words - words % kUnrollWords;
-  for (size_t i = 0; i < blocks; i += kUnrollWords) {
-    data[i + 0] += delta;
-    data[i + 1] += delta;
-    data[i + 2] += delta;
-    data[i + 3] += delta;
-    data[i + 4] += delta;
-    data[i + 5] += delta;
-    data[i + 6] += delta;
-    data[i + 7] += delta;
-    data[i + 8] += delta;
-    data[i + 9] += delta;
-    data[i + 10] += delta;
-    data[i + 11] += delta;
-    data[i + 12] += delta;
-    data[i + 13] += delta;
-    data[i + 14] += delta;
-    data[i + 15] += delta;
-    data[i + 16] += delta;
-    data[i + 17] += delta;
-    data[i + 18] += delta;
-    data[i + 19] += delta;
-    data[i + 20] += delta;
-    data[i + 21] += delta;
-    data[i + 22] += delta;
-    data[i + 23] += delta;
-    data[i + 24] += delta;
-    data[i + 25] += delta;
-    data[i + 26] += delta;
-    data[i + 27] += delta;
-    data[i + 28] += delta;
-    data[i + 29] += delta;
-    data[i + 30] += delta;
-    data[i + 31] += delta;
-  }
-  for (size_t i = blocks; i < words; ++i) {
-    data[i] += delta;
-  }
-}
-
 // ----------------------------------------------------------------------
 // x86-64 SIMD variants.
 //
@@ -251,29 +206,6 @@ void write_sse2(std::uint64_t* dst, size_t words, std::uint64_t value) {
   }
 }
 
-void read_write_sse2(std::uint64_t* data, size_t words, std::uint64_t delta) {
-  __m128i v = _mm_set1_epi64x(static_cast<long long>(delta));
-  size_t head = align_head_words(data, 16);
-  if (head > words) {
-    head = words;
-  }
-  size_t i = 0;
-  for (; i < head; ++i) {
-    data[i] += delta;
-  }
-  for (; i + 4 <= words; i += 4) {
-    __m128i a = _mm_load_si128(reinterpret_cast<const __m128i*>(data + i));
-    __m128i b = _mm_load_si128(reinterpret_cast<const __m128i*>(data + i + 2));
-    _mm_store_si128(reinterpret_cast<__m128i*>(data + i), _mm_add_epi64(a, v));
-    _mm_store_si128(reinterpret_cast<__m128i*>(data + i + 2), _mm_add_epi64(b, v));
-  }
-  for (; i < words; ++i) {
-    data[i] += delta;
-  }
-}
-
-void fill_zero_sse2(std::uint64_t* dst, size_t words) { write_sse2(dst, words, 0); }
-
 // Non-temporal (streaming) stores: bypass the cache and avoid the
 // read-for-ownership of plain stores, so a copy/write moves N bytes across
 // the bus instead of 2N.  This is what makes them win at memory-sized
@@ -324,8 +256,6 @@ void write_nt(std::uint64_t* dst, size_t words, std::uint64_t value) {
   }
   _mm_sfence();
 }
-
-void fill_zero_nt(std::uint64_t* dst, size_t words) { write_nt(dst, words, 0); }
 
 __attribute__((target("avx2"))) void copy_avx2(std::uint64_t* dst, const std::uint64_t* src,
                                                size_t words) {
@@ -393,32 +323,6 @@ __attribute__((target("avx2"))) void write_avx2(std::uint64_t* dst, size_t words
   for (; i < words; ++i) {
     dst[i] = value;
   }
-}
-
-__attribute__((target("avx2"))) void read_write_avx2(std::uint64_t* data, size_t words,
-                                                     std::uint64_t delta) {
-  __m256i v = _mm256_set1_epi64x(static_cast<long long>(delta));
-  size_t head = align_head_words(data, 32);
-  if (head > words) {
-    head = words;
-  }
-  size_t i = 0;
-  for (; i < head; ++i) {
-    data[i] += delta;
-  }
-  for (; i + 8 <= words; i += 8) {
-    __m256i a = _mm256_load_si256(reinterpret_cast<const __m256i*>(data + i));
-    __m256i b = _mm256_load_si256(reinterpret_cast<const __m256i*>(data + i + 4));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(data + i), _mm256_add_epi64(a, v));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(data + i + 4), _mm256_add_epi64(b, v));
-  }
-  for (; i < words; ++i) {
-    data[i] += delta;
-  }
-}
-
-__attribute__((target("avx2"))) void fill_zero_avx2(std::uint64_t* dst, size_t words) {
-  write_avx2(dst, words, 0);
 }
 
 bool cpu_has_sse2() { return __builtin_cpu_supports("sse2") != 0; }
@@ -502,27 +406,22 @@ KernelVariant resolve_kernel_variant(KernelVariant v) {
 
 const KernelSet& kernels_for(KernelVariant v) {
   static const KernelSet scalar = {
-      KernelVariant::kScalar,    copy_unrolled, read_sum_unrolled,
-      write_unrolled,            read_write_unrolled,
-      fill_zero_libc,
+      KernelVariant::kScalar, copy_unrolled, read_sum_unrolled, write_unrolled,
   };
 #if LMB_KERNELS_X86
   static const KernelSet sse2 = {
-      KernelVariant::kSse2, copy_sse2, read_sum_sse2, write_sse2, read_write_sse2,
-      fill_zero_sse2,
+      KernelVariant::kSse2, copy_sse2, read_sum_sse2, write_sse2,
   };
   static const KernelSet avx2 = {
-      KernelVariant::kAvx2, copy_avx2, read_sum_avx2, write_avx2, read_write_avx2,
-      fill_zero_avx2,
+      KernelVariant::kAvx2, copy_avx2, read_sum_avx2, write_avx2,
   };
-  // Streaming stores only help stores; the read-dominated ops borrow the
-  // widest cached implementation available.
+  // Streaming stores only help stores; read borrows the widest cached
+  // implementation available.
   static const KernelSet nt = [] {
     KernelSet set = kernel_variant_available(KernelVariant::kAvx2) ? avx2 : sse2;
     set.variant = KernelVariant::kNonTemporal;
     set.copy = copy_nt;
     set.write = write_nt;
-    set.fill_zero = fill_zero_nt;
     return set;
   }();
 #endif

@@ -35,13 +35,6 @@ std::uint64_t read_sum_unrolled(const std::uint64_t* src, size_t words);
 // Unrolled write: stores `value` into every word.
 void write_unrolled(std::uint64_t* dst, size_t words, std::uint64_t value);
 
-// Unrolled read-modify-write: adds `delta` to every word in place (lmbench
-// bw_mem's "rdwr" case — one load and one store per word).
-void read_write_unrolled(std::uint64_t* data, size_t words, std::uint64_t delta);
-
-// memset-to-zero of `words` 8-byte words (lmbench bw_mem's bzero case).
-void fill_zero_libc(std::uint64_t* dst, size_t words);
-
 // Unrolling factor of the scalar loops above (block size; tails are legal).
 inline constexpr size_t kUnrollWords = 32;
 
@@ -53,8 +46,8 @@ enum class KernelVariant {
   kScalar,       // the paper's unrolled loops (always available)
   kSse2,         // 128-bit loads/stores
   kAvx2,         // 256-bit loads/stores
-  kNonTemporal,  // streaming (cache-bypassing) stores for copy/write/bzero;
-                 // read-heavy ops fall back to the widest cached variant
+  kNonTemporal,  // streaming (cache-bypassing) stores for copy/write; read
+                 // falls back to the widest cached variant
 };
 
 // Stable lowercase name ("auto", "scalar", "sse2", "avx2", "nt").
@@ -82,8 +75,6 @@ struct KernelSet {
   void (*copy)(std::uint64_t* dst, const std::uint64_t* src, size_t words) = nullptr;
   std::uint64_t (*read_sum)(const std::uint64_t* src, size_t words) = nullptr;
   void (*write)(std::uint64_t* dst, size_t words, std::uint64_t value) = nullptr;
-  void (*read_write)(std::uint64_t* data, size_t words, std::uint64_t delta) = nullptr;
-  void (*fill_zero)(std::uint64_t* dst, size_t words) = nullptr;
 };
 
 // Dispatch table for `v` (kAuto resolved per CPUID).  Safe to call on any

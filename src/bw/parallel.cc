@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "src/core/do_not_optimize.h"
 #include "src/core/options.h"
 #include "src/core/registry.h"
 #include "src/core/topology.h"
@@ -56,57 +55,6 @@ class SpinBarrier {
   std::atomic<int> generation_{0};
 };
 
-// One worker's view of the operation: run it `iters` times over its own
-// src/dst.  The bodies mirror bw_mem.cc's single-stream ones.
-struct OpBody {
-  const KernelSet* ks = nullptr;
-  MemOp op = MemOp::kCopyUnrolled;
-  size_t words = 0;
-
-  void run(std::uint64_t* dst, std::uint64_t* src, std::uint64_t iters) const {
-    switch (op) {
-      case MemOp::kCopyLibc:
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          copy_libc(dst, src, words);
-        }
-        do_not_optimize(dst[0]);
-        break;
-      case MemOp::kCopyUnrolled:
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          ks->copy(dst, src, words);
-        }
-        do_not_optimize(dst[0]);
-        break;
-      case MemOp::kReadSum: {
-        std::uint64_t sum = 0;
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          sum += ks->read_sum(src, words);
-        }
-        do_not_optimize(sum);
-        break;
-      }
-      case MemOp::kWrite:
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          ks->write(dst, words, i + 1);
-        }
-        do_not_optimize(dst[0]);
-        break;
-      case MemOp::kBzero:
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          ks->fill_zero(dst, words);
-        }
-        do_not_optimize(dst[0]);
-        break;
-      case MemOp::kReadWrite:
-        for (std::uint64_t i = 0; i < iters; ++i) {
-          ks->read_write(dst, words, i + 1);
-        }
-        do_not_optimize(dst[0]);
-        break;
-    }
-  }
-};
-
 }  // namespace
 
 ParallelBwResult measure_mem_bw_parallel(MemOp op, const ParallelBwConfig& config) {
@@ -118,7 +66,6 @@ ParallelBwResult measure_mem_bw_parallel(MemOp op, const ParallelBwConfig& confi
   int threads = config.threads < 1 ? 1 : config.threads;
 
   const KernelSet& ks = kernels_for(config.kernel);
-  OpBody body{&ks, op, words};
 
   // Calibrate once, uncontended, on this thread; every worker then runs the
   // same per-interval iteration count so the barrier-to-barrier rounds stay
@@ -133,9 +80,9 @@ ParallelBwResult measure_mem_bw_parallel(MemOp op, const ParallelBwConfig& confi
     write_unrolled(src, words, 0x0102030405060708ull);
     write_unrolled(dst, words, 0);
     const Clock& clock = selected_clock();
-    iterations = calibrate([&](std::uint64_t iters) { body.run(dst, src, iters); },
-                           config.policy, clock, clock.now())
-                     .iterations;
+    iterations =
+        calibrate(mem_op_body(op, ks, src, dst, words), config.policy, clock, clock.now())
+            .iterations;
   }
 
   PinnedThreadPool pool(threads, config.pin);
@@ -144,17 +91,17 @@ ParallelBwResult measure_mem_bw_parallel(MemOp op, const ParallelBwConfig& confi
   // Per-worker buffers, allocated and first-touched on the worker's own
   // (pinned) CPU so NUMA first-touch places pages locally.
   std::vector<sys::AlignedBuffer> buffers(static_cast<size_t>(n));
-  std::vector<std::uint64_t*> srcs(static_cast<size_t>(n));
-  std::vector<std::uint64_t*> dsts(static_cast<size_t>(n));
+  std::vector<BenchFn> bodies(static_cast<size_t>(n));
   pool.run_all([&](int w) {
     size_t stagger = (static_cast<size_t>(w) % kStaggerSlots) * kWorkerStagger;
     buffers[w] = sys::AlignedBuffer(alloc_bytes);
-    srcs[w] = reinterpret_cast<std::uint64_t*>(buffers[w].data() + stagger);
-    dsts[w] = reinterpret_cast<std::uint64_t*>(buffers[w].data() + dst_off + stagger);
-    write_unrolled(srcs[w], words, 0x0102030405060708ull);
-    write_unrolled(dsts[w], words, 0);
+    auto* src = reinterpret_cast<std::uint64_t*>(buffers[w].data() + stagger);
+    auto* dst = reinterpret_cast<std::uint64_t*>(buffers[w].data() + dst_off + stagger);
+    write_unrolled(src, words, 0x0102030405060708ull);
+    write_unrolled(dst, words, 0);
+    bodies[w] = mem_op_body(op, ks, src, dst, words);
     for (int warm = 0; warm < config.policy.warmup_runs; ++warm) {
-      body.run(dsts[w], srcs[w], 1);
+      bodies[w](1);
     }
   });
 
@@ -168,7 +115,7 @@ ParallelBwResult measure_mem_bw_parallel(MemOp op, const ParallelBwConfig& confi
     pool.run_all([&](int w) {
       barrier.arrive_and_wait();
       Nanos start = clock.now();
-      body.run(dsts[w], srcs[w], iterations);
+      bodies[w](iterations);
       Nanos elapsed = clock.now() - start - overhead;
       if (elapsed < 1) {
         elapsed = 1;
@@ -233,10 +180,6 @@ const char* scaling_op_key(MemOp op) {
       return "read";
     case MemOp::kWrite:
       return "write";
-    case MemOp::kBzero:
-      return "bzero";
-    case MemOp::kReadWrite:
-      return "rdwr";
   }
   return "?";
 }

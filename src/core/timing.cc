@@ -1,13 +1,8 @@
 #include "src/core/timing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
-#include <numeric>
-#include <random>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
 
 #include "src/core/cal_cache.h"
 #include "src/obs/trace.h"
@@ -105,6 +100,20 @@ Measurement finish(std::uint64_t iterations, Sample sample, const Clock& clock,
     }
   }
   return m;
+}
+
+// The timing/measure span enclosing one measurement's warm-up, calibration
+// and repetitions, so every timing/rep event lies inside one.
+void emit_measure_span(obs::TraceSink* sink, Nanos start, const Measurement& m) {
+  if (sink == nullptr) {
+    return;
+  }
+  sink->complete("timing", "measure", start,
+                 {{"ns_per_op", std::to_string(m.ns_per_op)},
+                  {"iterations", u64_str(m.iterations)},
+                  {"repetitions", std::to_string(m.repetitions)},
+                  {"converged", m.converged ? "true" : "false"},
+                  {"calibration_cached", m.calibration_cached ? "true" : "false"}});
 }
 
 // Early-stop test: enough intervals in, and the spread between the running
@@ -286,14 +295,7 @@ Measurement measure(const BenchFn& fn, const TimingPolicy& policy, const Clock& 
     sample.add(ns_per_op);
   }
   Measurement m = finish(iters, std::move(sample), clock, converged, cached, &ob);
-  if (ob.sink != nullptr) {
-    ob.sink->complete("timing", "measure", measure_start,
-                      {{"ns_per_op", std::to_string(m.ns_per_op)},
-                       {"iterations", u64_str(m.iterations)},
-                       {"repetitions", std::to_string(m.repetitions)},
-                       {"converged", m.converged ? "true" : "false"},
-                       {"calibration_cached", m.calibration_cached ? "true" : "false"}});
-  }
+  emit_measure_span(ob.sink, measure_start, m);
   return m;
 }
 
@@ -305,6 +307,7 @@ Measurement measure_once_each(const std::function<void()>& fn, int n, const Cloc
     throw std::invalid_argument("measure_once_each: n must be >= 1");
   }
   Observer ob = Observer::resolve();
+  Nanos measure_start = ob.sink != nullptr ? ob.sink->timestamp() : 0;
   Sample sample;
   for (int i = 0; i < n; ++i) {
     Nanos rep_start = ob.sink != nullptr ? ob.sink->timestamp() : 0;
@@ -326,111 +329,9 @@ Measurement measure_once_each(const std::function<void()>& fn, int n, const Cloc
     }
     sample.add(static_cast<double>(corrected));
   }
-  return finish(1, std::move(sample), clock, false, false, &ob);
-}
-
-AbComparison compare_interleaved(const std::vector<CompareVariant>& variants,
-                                 const TimingPolicy& policy, int rounds, std::uint64_t seed,
-                                 const Clock& clock) {
-  if (variants.size() < 2) {
-    throw std::invalid_argument("compare_interleaved: need at least two variants");
-  }
-  for (const CompareVariant& v : variants) {
-    if (!v.run) {
-      throw std::invalid_argument("compare_interleaved: empty body for variant '" + v.name +
-                                  "'");
-    }
-  }
-  obs::ObsScope* scope = obs::ObsScope::current();
-  obs::TraceSink* sink = scope != nullptr ? scope->sink() : nullptr;
-  Nanos ab_start = sink != nullptr ? sink->timestamp() : 0;
-
-  const int n_variants = static_cast<int>(variants.size());
-  const int n_rounds = rounds > 0 ? rounds : std::max(policy.repetitions, 2);
-  Nanos budget_start = clock.now();
-
-  // Warm every variant, then calibrate once on the baseline: all variants
-  // run the same per-interval count, so per-round deltas compare equal work.
-  for (const CompareVariant& v : variants) {
-    for (int i = 0; i < std::max(policy.warmup_runs, 1); ++i) {
-      v.run(1);
-    }
-  }
-  Calibration cal = calibrate(variants[0].run, policy, clock, budget_start);
-
-  AbComparison cmp;
-  cmp.iterations = cal.iterations;
-  cmp.clock_source = clock.name();
-  cmp.variants.resize(variants.size());
-  for (int v = 0; v < n_variants; ++v) {
-    cmp.variants[static_cast<size_t>(v)].name = variants[static_cast<size_t>(v)].name;
-  }
-
-  std::mt19937_64 rng(seed);
-  std::vector<int> round_order(static_cast<size_t>(n_variants));
-  std::iota(round_order.begin(), round_order.end(), 0);
-
-  for (int r = 0; r < n_rounds; ++r) {
-    // Fresh shuffle per round: over many rounds every variant occupies every
-    // slot, so slow drift within a round has no preferred victim.
-    std::shuffle(round_order.begin(), round_order.end(), rng);
-    std::ostringstream order_str;
-    for (int k = 0; k < n_variants; ++k) {
-      int idx = round_order[static_cast<size_t>(k)];
-      Nanos elapsed = time_interval(variants[static_cast<size_t>(idx)].run, cal.iterations,
-                                    clock);
-      cmp.variants[static_cast<size_t>(idx)].sample.add(
-          static_cast<double>(elapsed) / static_cast<double>(cal.iterations));
-      cmp.order.push_back(idx);
-      if (k > 0) {
-        order_str << ',';
-      }
-      order_str << idx;
-    }
-    cmp.rounds = r + 1;
-    if (sink != nullptr) {
-      sink->instant("abtest", "round",
-                    {{"round", std::to_string(r)}, {"order", order_str.str()}});
-    }
-    // Pairing needs at least two full rounds; past that the budget may cut
-    // the comparison short (all variants still have equal round counts —
-    // rounds are atomic).
-    if (r + 1 >= 2 && clock.now() - budget_start > policy.max_total) {
-      if (sink != nullptr) {
-        sink->instant("abtest", "budget_exhausted", {{"rounds", std::to_string(r + 1)}});
-      }
-      break;
-    }
-  }
-
-  for (VariantStats& vs : cmp.variants) {
-    vs.ns_per_op = vs.sample.min();
-  }
-  const Sample& base = cmp.variants[0].sample;
-  for (int v = 1; v < n_variants; ++v) {
-    PairedDelta pd;
-    pd.name = cmp.variants[static_cast<size_t>(v)].name;
-    const Sample& other = cmp.variants[static_cast<size_t>(v)].sample;
-    for (size_t r = 0; r < base.count(); ++r) {
-      pd.deltas.add(other.values()[r] - base.values()[r]);
-    }
-    pd.mean_delta_ns = pd.deltas.mean();
-    pd.ci_half_width_ns = pd.deltas.ci_half_width();
-    pd.rel_delta = cmp.variants[0].ns_per_op > 0
-                       ? pd.mean_delta_ns / cmp.variants[0].ns_per_op
-                       : 0.0;
-    pd.significant = std::abs(pd.mean_delta_ns) > pd.ci_half_width_ns &&
-                     pd.ci_half_width_ns >= 0 && pd.deltas.count() >= 2;
-    cmp.deltas.push_back(std::move(pd));
-  }
-  if (sink != nullptr) {
-    sink->complete("abtest", "compare", ab_start,
-                   {{"variants", std::to_string(n_variants)},
-                    {"rounds", std::to_string(cmp.rounds)},
-                    {"iterations", u64_str(cmp.iterations)},
-                    {"clock_source", cmp.clock_source}});
-  }
-  return cmp;
+  Measurement m = finish(1, std::move(sample), clock, false, false, &ob);
+  emit_measure_span(ob.sink, measure_start, m);
+  return m;
 }
 
 double mb_per_sec(double bytes_per_op, double ns_per_op) {

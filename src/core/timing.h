@@ -47,7 +47,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/core/clock.h"
 #include "src/core/stats.h"
@@ -142,10 +141,10 @@ struct Measurement {
 
 // Scoped default-clock selection, RAII like CalibrationScope/ObsScope:
 // while a MeasureScope is installed on a thread, every measure()/
-// measure_once_each()/compare_interleaved() call that does not pass an
-// explicit clock uses the scope's clock.  This is how --clock reaches every
-// benchmark in a suite without threading a Clock& through each of them.
-// Scopes nest; the innermost wins.
+// measure_once_each() call that does not pass an explicit clock uses the
+// scope's clock.  This is how --clock reaches every benchmark in a suite
+// without threading a Clock& through each of them.  Scopes nest; the
+// innermost wins.
 class MeasureScope {
  public:
   explicit MeasureScope(const Clock& clock);
@@ -196,65 +195,9 @@ Measurement measure(const BenchFn& fn, const TimingPolicy& policy = TimingPolicy
 // Measures an operation whose cost is too large or stateful to loop inside
 // one interval (e.g. fork/exec): times `n` one-shot executions individually
 // and aggregates.  Each execution is one "repetition"; no calibration.
+// Traced like measure(): one timing/measure span encloses the repetitions.
 Measurement measure_once_each(const std::function<void()>& fn, int n,
                               const Clock& clock = selected_clock());
-
-// ---------------------------------------------------------------------------
-// Randomized A/B interleaving for kernel-variant comparisons.
-//
-// Measuring variant A to completion and then variant B hands any slow drift
-// (thermal throttle, frequency ramp, a background daemon waking up) entirely
-// to whichever ran second.  Interleaving shuffles the variants within each
-// round so drift hits all of them equally, and the per-round *paired* deltas
-// cancel whatever was common to the round (nanoBench §3; the
-// machine-stability study in PAPERS.md is the cautionary tale).
-
-// One candidate in an A/B comparison.
-struct CompareVariant {
-  std::string name;
-  BenchFn run;
-};
-
-// Aggregate timing for one variant across all rounds.
-struct VariantStats {
-  std::string name;
-  Sample sample;          // per-round ns/op
-  double ns_per_op = 0;   // headline: min across rounds
-};
-
-// Paired per-round delta of one variant against the baseline (variants[0]).
-struct PairedDelta {
-  std::string name;            // the variant compared against baseline
-  Sample deltas;               // per-round (variant - baseline) ns/op
-  double mean_delta_ns = 0;    // mean of the paired deltas
-  double ci_half_width_ns = 0; // 95% Student-t half-width of that mean
-  double rel_delta = 0;        // mean delta / baseline min ns/op
-  bool significant = false;    // |mean| > CI half-width (0 excluded)
-};
-
-// Outcome of one interleaved comparison.
-struct AbComparison {
-  std::uint64_t iterations = 0;    // per timed interval (shared calibration)
-  int rounds = 0;                  // completed rounds
-  std::string clock_source;        // Clock::name of the timing clock
-  std::vector<VariantStats> variants;  // in input order; [0] is the baseline
-  std::vector<PairedDelta> deltas;     // one per non-baseline variant
-  // Flattened execution order: order[r * variants + k] is the variant index
-  // run k-th within round r.  Recorded in the trace so a run can be audited
-  // for drift alignment.
-  std::vector<int> order;
-};
-
-// Runs every variant `rounds` times (policy.repetitions when rounds <= 0)
-// in shuffled round-robin: each round times each variant once, in an order
-// drawn from a deterministic per-round shuffle of `seed`.  All variants
-// share one iteration count, calibrated on variants[0] (comparisons only
-// make sense between bodies doing comparable per-iteration work).  Throws
-// std::invalid_argument on fewer than two variants or an empty body.
-AbComparison compare_interleaved(const std::vector<CompareVariant>& variants,
-                                 const TimingPolicy& policy = TimingPolicy::standard(),
-                                 int rounds = 0, std::uint64_t seed = 0x1ab5eedULL,
-                                 const Clock& clock = selected_clock());
 
 // Converts a measured per-op latency plus bytes-moved-per-op into MB/s.
 // Uses the paper's convention of 1 MB = 2^20 bytes.

@@ -40,7 +40,7 @@ std::string render_scaling_table(const std::vector<ScalingSeries>& series);
 // Empty string when there is nothing to plot.
 std::string render_scaling_plot(const std::vector<ScalingSeries>& series);
 
-// Table followed by plot (the run_suite / bw_scaling display block).
+// Table followed by plot (run_suite's display block for bw_mem_par).
 std::string render_scaling_report(const std::vector<ScalingSeries>& series);
 
 }  // namespace lmb::report

@@ -31,6 +31,18 @@ constexpr RemovedFlag kRemovedFlags[] = {
      "there is no replacement: every timed interval already lasts at least 1 ms, so one "
      "clock read is noise, and a paired comparison found no number it changed (see "
      "EXPERIMENTS.md)"},
+    {"heatmap",
+     "run_suite renders the heatmap of every load benchmark run with --interval-ms=MS"},
+    {"heatmap-json",
+     "use --json=PATH: each load result run with --interval-ms=MS stores its heatmap as "
+     "metadata.heatmap_loopback, and lmbench_heatmap renders that file"},
+    {"threads", "use --bw-threads=LIST with --only=bw_mem_par"},
+    {"op",
+     "there is no replacement: the rdwr and bzero ops are gone, and bw_mem_par sweeps "
+     "copy, read and write"},
+    {"compare-kernels",
+     "run --only=bw_mem once per --kernel=VARIANT with --json=PATH and compare the two "
+     "files with lmbench_compare"},
 };
 
 }  // namespace

@@ -53,8 +53,6 @@ TEST(KernelsTest, ZeroWordsIsANoOp) {
   std::uint64_t sentinel = 42;
   copy_unrolled(&sentinel, &sentinel, 0);
   write_unrolled(&sentinel, 0, 7);
-  read_write_unrolled(&sentinel, 0, 7);
-  fill_zero_libc(&sentinel, 0);
   EXPECT_EQ(read_sum_unrolled(&sentinel, 0), 0u);
   EXPECT_EQ(sentinel, 42u);
 }
@@ -70,17 +68,6 @@ TEST(KernelsTest, WriteFillsEveryWord) {
   write_unrolled(v.data(), v.size(), 0xdeadbeefcafef00dull);
   for (auto w : v) {
     EXPECT_EQ(w, 0xdeadbeefcafef00dull);
-  }
-}
-
-TEST(KernelsTest, ReadWriteAddsDeltaInPlace) {
-  std::vector<std::uint64_t> v(128);
-  for (size_t i = 0; i < v.size(); ++i) {
-    v[i] = i;
-  }
-  read_write_unrolled(v.data(), v.size(), 100);
-  for (size_t i = 0; i < v.size(); ++i) {
-    EXPECT_EQ(v[i], i + 100);
   }
 }
 
@@ -145,8 +132,6 @@ TEST(KernelVariantTest, DispatchTableHasNoNullEntries) {
     EXPECT_NE(ks.copy, nullptr) << kernel_variant_name(v);
     EXPECT_NE(ks.read_sum, nullptr) << kernel_variant_name(v);
     EXPECT_NE(ks.write, nullptr) << kernel_variant_name(v);
-    EXPECT_NE(ks.read_write, nullptr) << kernel_variant_name(v);
-    EXPECT_NE(ks.fill_zero, nullptr) << kernel_variant_name(v);
   }
 }
 
@@ -184,22 +169,6 @@ TEST_P(KernelEquivalenceTest, AllVariantsMatchScalarReference) {
     write_unrolled(expect.data(), words, 0x1122334455667788ull);
     ks.write(actual.data(), words, 0x1122334455667788ull);
     EXPECT_EQ(actual, expect);
-
-    // read_write
-    std::copy(src.begin(), src.end(), expect.begin());
-    std::fill(expect.begin() + words, expect.end(), 3);
-    actual = expect;
-    read_write_unrolled(expect.data(), words, 77);
-    ks.read_write(actual.data(), words, 77);
-    EXPECT_EQ(actual, expect);
-
-    // fill_zero
-    std::copy(src.begin(), src.end(), expect.begin());
-    std::fill(expect.begin() + words, expect.end(), 5);
-    actual = expect;
-    fill_zero_libc(expect.data(), words);
-    ks.fill_zero(actual.data(), words);
-    EXPECT_EQ(actual, expect);
   }
 }
 
@@ -224,10 +193,6 @@ TEST(KernelEquivalenceTest, MisalignedPointersStillMatch) {
 
       write_unrolled(expect.data() + off, words, off + 1);
       ks.write(actual.data() + off, words, off + 1);
-      EXPECT_EQ(actual, expect) << "offset " << off;
-
-      read_write_unrolled(expect.data() + off, words, off + 5);
-      ks.read_write(actual.data() + off, words, off + 5);
       EXPECT_EQ(actual, expect) << "offset " << off;
 
       EXPECT_EQ(ks.read_sum(actual.data() + off, words),

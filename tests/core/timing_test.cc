@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/core/tsc_clock.h"
 #include "src/core/virtual_clock.h"
+#include "src/obs/trace.h"
 
 namespace lmb {
 namespace {
@@ -119,6 +122,38 @@ TEST(MeasureOnceEachTest, AggregatesIndividualRuns) {
   EXPECT_DOUBLE_EQ(m.ns_per_op, 1000.0);            // fastest run
   EXPECT_DOUBLE_EQ(m.max_ns_per_op, 4000.0);        // slowest run
   EXPECT_DOUBLE_EQ(m.mean_ns_per_op, 2500.0);
+}
+
+// measure_once_each is traced like measure(): one timing/measure span
+// encloses its one-shot repetitions and carries measure()'s args.
+TEST(MeasureOnceEachTest, RepsLieInsideOneMeasureSpan) {
+  obs::TraceSink sink;
+  {
+    obs::ObsScope scope(&sink, /*counters=*/false, "once");
+    measure_once_each([] {}, 5);
+  }
+  std::vector<obs::TraceEvent> spans;
+  std::vector<obs::TraceEvent> reps;
+  for (const obs::TraceEvent& e : sink.events()) {
+    if (e.cat == "timing" && e.name == "measure") {
+      spans.push_back(e);
+    } else if (e.cat == "timing" && e.name == "rep") {
+      reps.push_back(e);
+    }
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(reps.size(), 5u);
+  const obs::TraceEvent& span = spans[0];
+  for (const obs::TraceEvent& rep : reps) {
+    EXPECT_GE(rep.ts, span.ts);
+    EXPECT_LE(rep.ts + rep.dur, span.ts + span.dur);
+  }
+  std::map<std::string, std::string> args(span.args.begin(), span.args.end());
+  EXPECT_EQ(args["iterations"], "1");
+  EXPECT_EQ(args["repetitions"], "5");
+  EXPECT_EQ(args["converged"], "false");
+  EXPECT_EQ(args["calibration_cached"], "false");
+  EXPECT_EQ(args.count("ns_per_op"), 1u);
 }
 
 TEST(MbPerSecTest, Conversions) {
@@ -288,7 +323,7 @@ TEST(CalibrationReuseTest, FinalProbeSeedsTheSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Clock-source scope and A/B interleaving.
+// Clock-source scope.
 
 TEST(MeasureScopeTest, SelectedClockDefaultsToWallAndFollowsScope) {
   EXPECT_EQ(&selected_clock(), static_cast<const Clock*>(&WallClock::instance()));
@@ -316,71 +351,6 @@ TEST(MeasureScopeTest, MeasurementRecordsTheClockSource) {
   VirtualClock vclock;
   BenchFn vfn = [&](std::uint64_t iters) { vclock.advance(static_cast<Nanos>(iters) * 100); };
   EXPECT_EQ(measure(vfn, policy, vclock).clock_source, "virtual");
-}
-
-TEST(CompareInterleavedTest, RejectsDegenerateInput) {
-  CompareVariant only{"solo", [](std::uint64_t) {}};
-  EXPECT_THROW(compare_interleaved({only}), std::invalid_argument);
-  CompareVariant empty{"empty", BenchFn{}};
-  EXPECT_THROW(compare_interleaved({only, empty}), std::invalid_argument);
-}
-
-TEST(CompareInterleavedTest, PairedDeltasRecoverScriptedDifference) {
-  ScriptedClock clock;
-  CompareVariant fast{"fast", [&](std::uint64_t iters) {
-                        clock.advance(static_cast<Nanos>(iters) * 100);
-                      }};
-  CompareVariant slow{"slow", [&](std::uint64_t iters) {
-                        clock.advance(static_cast<Nanos>(iters) * 300);
-                      }};
-  TimingPolicy policy;
-  policy.min_interval = kMillisecond;
-  AbComparison cmp = compare_interleaved({fast, slow}, policy, /*rounds=*/6, /*seed=*/42,
-                                         clock);
-  EXPECT_EQ(cmp.rounds, 6);
-  EXPECT_GT(cmp.iterations, 0u);
-  EXPECT_EQ(cmp.clock_source, "custom");
-  ASSERT_EQ(cmp.variants.size(), 2u);
-  EXPECT_DOUBLE_EQ(cmp.variants[0].ns_per_op, 100.0);
-  EXPECT_DOUBLE_EQ(cmp.variants[1].ns_per_op, 300.0);
-  ASSERT_EQ(cmp.deltas.size(), 1u);
-  const PairedDelta& d = cmp.deltas[0];
-  EXPECT_EQ(d.name, "slow");
-  // Scripted costs are exact, so every per-round delta is exactly 200 ns/op:
-  // zero scatter, zero CI half-width, and the delta is significant.
-  EXPECT_DOUBLE_EQ(d.mean_delta_ns, 200.0);
-  EXPECT_DOUBLE_EQ(d.ci_half_width_ns, 0.0);
-  EXPECT_DOUBLE_EQ(d.rel_delta, 2.0);
-  EXPECT_TRUE(d.significant);
-  EXPECT_EQ(d.deltas.count(), 6u);
-}
-
-TEST(CompareInterleavedTest, OrderIsAFreshPermutationEachRound) {
-  ScriptedClock clock;
-  auto body = [&](std::uint64_t iters) { clock.advance(static_cast<Nanos>(iters) * 100); };
-  std::vector<CompareVariant> variants = {
-      {"a", body}, {"b", body}, {"c", body}};
-  TimingPolicy policy;
-  policy.min_interval = kMillisecond;
-  AbComparison cmp = compare_interleaved(variants, policy, /*rounds=*/8, /*seed=*/7, clock);
-  ASSERT_EQ(cmp.order.size(), 8u * 3u);
-  bool saw_non_identity = false;
-  for (int r = 0; r < 8; ++r) {
-    std::vector<int> round(cmp.order.begin() + r * 3, cmp.order.begin() + (r + 1) * 3);
-    std::vector<int> sorted = round;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2})) << "round " << r;
-    if (round != std::vector<int>({0, 1, 2})) {
-      saw_non_identity = true;
-    }
-  }
-  // 8 shuffles of 3 elements virtually never all land on the identity; a
-  // deterministic seed makes this assertion stable.
-  EXPECT_TRUE(saw_non_identity);
-  // Every variant accumulated exactly one sample per round.
-  for (const VariantStats& vs : cmp.variants) {
-    EXPECT_EQ(vs.sample.count(), 8u);
-  }
 }
 
 // Property sweep: measured per-op time equals the scripted cost for a range

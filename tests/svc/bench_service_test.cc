@@ -172,7 +172,12 @@ TEST_F(BenchServiceTest, WritesRequestedOutputFiles) {
   // not a silent no-op.
   for (auto [flag, replacement] : {std::pair{"out", "--json=PATH"},
                                    std::pair{"trace-chrome", "--trace=PATH"},
-                                   std::pair{"nanoscale", "EXPERIMENTS.md"}}) {
+                                   std::pair{"nanoscale", "EXPERIMENTS.md"},
+                                   std::pair{"heatmap", "--interval-ms"},
+                                   std::pair{"heatmap-json", "heatmap_loopback"},
+                                   std::pair{"threads", "--bw-threads"},
+                                   std::pair{"op", "rdwr and bzero"},
+                                   std::pair{"compare-kernels", "lmbench_compare"}}) {
     try {
       RunRequest::from_options(Options::from_pairs({{flag, tmp_.path() + "/r.out"}}));
       ADD_FAILURE() << "expected UsageError for --" << flag;

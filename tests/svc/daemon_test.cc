@@ -278,11 +278,18 @@ TEST_F(DaemonTest, RemovedFlagSubmissionsFailWithUsageExitCode) {
   Client client(daemon.socket_path());
   for (auto [flag, replacement] : {std::pair{"out", "--json=PATH"},
                                    std::pair{"trace-chrome", "--trace=PATH"},
-                                   std::pair{"nanoscale", "EXPERIMENTS.md"}}) {
+                                   std::pair{"nanoscale", "EXPERIMENTS.md"},
+                                   std::pair{"heatmap", "--interval-ms"},
+                                   std::pair{"heatmap-json", "heatmap_loopback"},
+                                   std::pair{"threads", "--bw-threads"},
+                                   std::pair{"op", "rdwr and bzero"},
+                                   std::pair{"compare-kernels", "lmbench_compare"}}) {
     JsonValue done = client.submit({{"only", "fake_lat"}, {flag, "r.out"}});
     const report::JsonObject& obj = done.object();
     EXPECT_EQ(static_cast<int>(find(obj, "exit_code")->number()), 2) << flag;
-    EXPECT_NE(find(obj, "error")->str().find(replacement), std::string::npos) << flag;
+    const JsonValue* error = find(obj, "error");
+    ASSERT_NE(error, nullptr) << flag;
+    EXPECT_NE(error->str().find(replacement), std::string::npos) << flag;
   }
   daemon.stop();
 }
